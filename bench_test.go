@@ -406,15 +406,15 @@ func BenchmarkInfraVMExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineInterpVsClosure compares the pluggable execution
-// engines head to head on the TSI kernel (the per-message hot path) and
-// a dispatch-bound loop, on a warm reused machine — the runtime's
-// steady state after the per-registration machine reuse refactor. The
-// closure engine is the default because of this benchmark; CHANGES.md
+// BenchmarkEngineInterpVsSuperblock compares the two execution engines
+// head to head on the TSI kernel (the per-message hot path) and a
+// dispatch-bound loop, on a warm reused machine — the runtime's steady
+// state after the per-registration machine reuse refactor. The
+// superblock engine is the default because of this benchmark; CHANGES.md
 // records the measured baseline.
-func BenchmarkEngineInterpVsClosure(b *testing.B) {
+func BenchmarkEngineInterpVsSuperblock(b *testing.B) {
 	for _, k := range bench.EngineCorpus() {
-		for _, eng := range []mcode.Engine{mcode.InterpEngine{}, mcode.ClosureEngine{}, mcode.SuperblockEngine{}} {
+		for _, eng := range []mcode.Engine{mcode.InterpEngine{}, mcode.SuperblockEngine{}} {
 			b.Run(k.Name+"/"+eng.Name(), func(b *testing.B) {
 				cm, err := mcode.Lower(k.Mod, isa.XeonE5())
 				if err != nil {
@@ -443,10 +443,10 @@ func BenchmarkEngineInterpVsClosure(b *testing.B) {
 }
 
 // BenchmarkEngineRunBatch measures the batched run stage against
-// one-at-a-time execution on a warm machine: b=1 is the pre-batching
-// delivery hot path (one Reset+Run per message), larger sizes are one
-// Reset+RunBatch per delivery group — the per-group unit of the batched
-// pipeline. The end-to-end pipeline win (poll, lookup and cost-charge
+// one-at-a-time execution on a warm machine of the default engine (the
+// one cluster nodes run): b=1 is the pre-batching delivery hot path (one
+// Reset+Run per message), larger sizes are one Reset+RunBatch per
+// delivery group — the per-group unit of the batched pipeline. The end-to-end pipeline win (poll, lookup and cost-charge
 // amortization on top of this) is measured by bench.DeliverySweep and
 // reported by `paperbench -json`.
 func BenchmarkEngineRunBatch(b *testing.B) {
@@ -458,7 +458,7 @@ func BenchmarkEngineRunBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			env := ir.NewSimpleEnv(1 << 16)
-			ma, err := mcode.NewMachineFor(mcode.ClosureEngine{}, cm, env, mcode.NewLinkage(cm),
+			ma, err := mcode.NewMachineFor(mcode.DefaultEngine, cm, env, mcode.NewLinkage(cm),
 				ir.ExecLimits{StackBase: 32 << 10, StackSize: 16 << 10})
 			if err != nil {
 				b.Fatal(err)

@@ -12,7 +12,8 @@
 //	paperbench -json       # also write BENCH_engines.json (engine, batch
 //	                       # and placement sweeps in machine-readable
 //	                       # form, for tracking the perf trajectory
-//	                       # across PRs)
+//	                       # across PRs); a section turned off by its
+//	                       # flag (-engines=false, ...) is left out
 package main
 
 import (
@@ -46,43 +47,29 @@ func main() {
 
 	fmt.Println("=== Three-Chains paper evaluation (simulated testbeds) ===")
 	fmt.Println()
-	var rep *enginesReport
-	if *engines || *jsonOut {
-		// -engines=false still collects (quietly) when -json needs the data.
-		rep = engineReport(*engines)
+	rep := &enginesReport{
+		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
+		Gomaxprocs: runtime.GOMAXPROCS(0),
 	}
-	if *placement || *jsonOut {
-		rows := placementReport(*placement)
-		if rep != nil {
-			rep.Placement = rows
-		}
+	if *engines {
+		engineReport(rep)
 	}
-	if *scale || *jsonOut {
-		rows := scaleReport(*scale)
-		if rep != nil {
-			rep.Scale = rows
-		}
+	if *placement {
+		rep.Placement = placementReport()
 	}
-	if *dedup || *jsonOut {
-		rows, deltas := dedupReport(*dedup)
-		if rep != nil {
-			rep.Dedup = rows
-			rep.Delta = deltas
-		}
+	if *scale {
+		rep.Scale = scaleReport()
 	}
-	if *regioncache || *jsonOut {
-		rows := regioncacheReport(*regioncache)
-		if rep != nil {
-			rep.RegionCache = rows
-		}
+	if *dedup {
+		rep.Dedup, rep.Delta = dedupReport()
+	}
+	if *regioncache {
+		rep.RegionCache = regioncacheReport()
 	}
 	if *tracePath != "" || *jsonOut {
 		// -json without -trace still collects the metrics section
 		// (quietly, no trace file).
-		points := traceReport(*tracePath, *tracePath != "")
-		if rep != nil {
-			rep.Metrics = points
-		}
+		rep.Metrics = traceReport(*tracePath, *tracePath != "")
 	}
 	if *jsonOut {
 		if err := writeJSON(*jsonPath, rep); err != nil {
@@ -107,22 +94,17 @@ type enginesReport struct {
 	// with — the number a reader needs to interpret the scale section's
 	// wall-clock speedups (NumCPU alone says nothing about parallel runs).
 	Gomaxprocs int `json:"gomaxprocs"`
-	// Engines is the interpreter-vs-closure wall-clock comparison, one
-	// row per (µarch, kernel).
-	Engines []engineRow `json:"engines"`
+	// Engines is the interpreter-vs-superblock wall-clock comparison,
+	// one row per (µarch, kernel).
+	Engines []engineRow `json:"engines,omitempty"`
 	// BatchSweeps holds the engine-level RunBatch sweep (per kernel) and
 	// the end-to-end delivery-pipeline sweep ("tsi-delivery").
-	BatchSweeps []bench.BatchSweep `json:"batch_sweeps"`
+	BatchSweeps []bench.BatchSweep `json:"batch_sweeps,omitempty"`
 	// Verifier is the static-verifier cost report: one-time host cost of
 	// full verification per corpus kernel, the modeled virtual-time
 	// admission scan, and the facts proven (step bound, elidable
 	// memory ops).
 	Verifier []verifierRow `json:"verifier,omitempty"`
-	// Elision is the proven-check elision comparison: ns/exec per
-	// (kernel, engine) with mcode.ElideChecks off vs on. Elision is
-	// host-perf only; the differential suites pin elided runs
-	// bit-identical to the interpreter oracle.
-	Elision []elisionRow `json:"elision,omitempty"`
 	// Placement is the compute/data placement policy sweep: per scenario,
 	// the total virtual time of ship-code vs pull-data vs the cost-model
 	// planner (internal/place), with the planner's route mix.
@@ -150,16 +132,14 @@ type enginesReport struct {
 }
 
 type engineRow struct {
-	March     string  `json:"march"`
-	Kernel    string  `json:"kernel"`
-	Steps     int64   `json:"steps"`
-	InterpNs  float64 `json:"interp_ns"`
-	ClosureNs float64 `json:"closure_ns"`
-	// SuperNs is the superblock engine (PR 3); SBSpeedup is its win over
-	// the plain closure backend (closure_ns / super_ns).
-	SuperNs   float64 `json:"super_ns"`
-	Speedup   float64 `json:"speedup"`
-	SBSpeedup float64 `json:"sb_speedup"`
+	March    string  `json:"march"`
+	Kernel   string  `json:"kernel"`
+	Steps    int64   `json:"steps"`
+	InterpNs float64 `json:"interp_ns"`
+	SuperNs  float64 `json:"super_ns"`
+	// Speedup is the superblock engine's win over the interpreter
+	// (interp_ns / super_ns).
+	Speedup float64 `json:"speedup"`
 }
 
 type verifierRow struct {
@@ -174,55 +154,34 @@ type verifierRow struct {
 	ElidableStore int     `json:"elidable_stores"`
 }
 
-type elisionRow struct {
-	March   string  `json:"march"`
-	Kernel  string  `json:"kernel"`
-	Engine  string  `json:"engine"`
-	OffNs   float64 `json:"off_ns"`
-	OnNs    float64 `json:"on_ns"`
-	Speedup float64 `json:"speedup"`
-}
-
-// engineReport collects the interpreter-vs-closure wall-clock comparison
-// and the message-rate-vs-batch-size sweeps: how fast the simulator host
-// executes guest code under each pluggable engine, and how much the
-// batched delivery pipeline amortizes per-message software overhead
+// engineReport prints and collects into rep the interpreter-vs-
+// superblock wall-clock comparison, the static-verifier costs and the
+// message-rate-vs-batch-size sweeps: how fast the simulator host
+// executes guest code under each engine, and how much the batched
+// delivery pipeline amortizes per-message software overhead
 // (virtual-time metrics are engine- and batch-invariant by contract).
-// When print is true the tables also go to stdout.
-func engineReport(print bool) *enginesReport {
-	rep := &enginesReport{
-		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-	}
-	printf := func(format string, args ...any) {
-		if print {
-			fmt.Printf(format, args...)
-		}
-	}
-
-	printf("--- Execution engines (host wall-clock per guest execution) ---\n")
-	printf("%-16s %-12s %8s %12s %12s %12s %9s %9s\n",
-		"march", "kernel", "steps", "interp", "closure", "superblock", "i/c", "c/sb")
+func engineReport(rep *enginesReport) {
+	fmt.Printf("--- Execution engines (host wall-clock per guest execution) ---\n")
+	fmt.Printf("%-16s %-12s %8s %12s %12s %9s\n",
+		"march", "kernel", "steps", "interp", "superblock", "i/sb")
 	for _, march := range []*isa.MicroArch{isa.XeonE5(), isa.A64FX(), isa.CortexA72()} {
 		rows, err := bench.CompareEngines(march)
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, r := range rows {
-			printf("%-16s %-12s %8d %10.1fns %10.1fns %10.1fns %8.2fx %8.2fx\n",
-				march.Name, r.Kernel, r.Steps, r.InterpNs, r.ClosureNs, r.SuperNs,
-				r.Speedup, r.SuperSpeedup)
+			fmt.Printf("%-16s %-12s %8d %10.1fns %10.1fns %8.2fx\n",
+				march.Name, r.Kernel, r.Steps, r.InterpNs, r.SuperNs, r.Speedup)
 			rep.Engines = append(rep.Engines, engineRow{
 				March: march.Name, Kernel: r.Kernel, Steps: r.Steps,
-				InterpNs: r.InterpNs, ClosureNs: r.ClosureNs, SuperNs: r.SuperNs,
-				Speedup: r.Speedup, SBSpeedup: r.SuperSpeedup,
+				InterpNs: r.InterpNs, SuperNs: r.SuperNs, Speedup: r.Speedup,
 			})
 		}
 	}
-	printf("\n")
+	fmt.Printf("\n")
 
-	printf("--- Static verifier (one-time admission cost + proven facts) ---\n")
-	printf("%-16s %-12s %7s %12s %13s %8s %9s %7s %7s\n",
+	fmt.Printf("--- Static verifier (one-time admission cost + proven facts) ---\n")
+	fmt.Printf("%-16s %-12s %7s %12s %13s %8s %9s %7s %7s\n",
 		"march", "kernel", "instrs", "verify", "vscan(model)", "bounded", "minsteps", "eload", "estore")
 	for _, march := range []*isa.MicroArch{isa.XeonE5(), isa.A64FX(), isa.CortexA72()} {
 		rows, err := bench.MeasureVerifier(march)
@@ -230,7 +189,7 @@ func engineReport(print bool) *enginesReport {
 			log.Fatal(err)
 		}
 		for _, r := range rows {
-			printf("%-16s %-12s %7d %10.1fns %11.1fns %8v %9d %7d %7d\n",
+			fmt.Printf("%-16s %-12s %7d %10.1fns %11.1fns %8v %9d %7d %7d\n",
 				march.Name, r.Kernel, r.Instrs, r.VerifyNs, r.VirtualScanNs,
 				r.Bounded, r.MinSteps, r.ElidableLoads, r.ElidableStores)
 			rep.Verifier = append(rep.Verifier, verifierRow{
@@ -241,28 +200,9 @@ func engineReport(print bool) *enginesReport {
 			})
 		}
 	}
-	printf("\n")
+	fmt.Printf("\n")
 
-	printf("--- Check elision (proven bounds/budget checks compiled out) ---\n")
-	printf("%-16s %-12s %-12s %12s %12s %9s\n",
-		"march", "kernel", "engine", "checks on", "elided", "speedup")
-	for _, march := range []*isa.MicroArch{isa.XeonE5(), isa.A64FX(), isa.CortexA72()} {
-		rows, err := bench.CompareElision(march)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range rows {
-			printf("%-16s %-12s %-12s %10.1fns %10.1fns %8.2fx\n",
-				march.Name, r.Kernel, r.Engine, r.OffNs, r.OnNs, r.Speedup)
-			rep.Elision = append(rep.Elision, elisionRow{
-				March: march.Name, Kernel: r.Kernel, Engine: r.Engine,
-				OffNs: r.OffNs, OnNs: r.OnNs, Speedup: r.Speedup,
-			})
-		}
-	}
-	printf("\n")
-
-	printf("--- Batch sweep (host throughput vs delivery batch size) ---\n")
+	fmt.Printf("--- Batch sweep (host throughput vs delivery batch size) ---\n")
 	sweeps, err := bench.SweepBatches(isa.XeonE5())
 	if err != nil {
 		log.Fatal(err)
@@ -274,13 +214,12 @@ func engineReport(print bool) *enginesReport {
 	sweeps = append(sweeps, delivery)
 	rep.BatchSweeps = sweeps
 	for _, s := range sweeps {
-		printf("%-14s (%s, %s)\n", s.Kernel, s.March, s.Engine)
+		fmt.Printf("%-14s (%s, %s)\n", s.Kernel, s.March, s.Engine)
 		for _, p := range s.Points {
-			printf("    batch %3d  %10.1f ns/exec  %6.2fx\n", p.BatchSize, p.NsPerExec, p.Gain)
+			fmt.Printf("    batch %3d  %10.1f ns/exec  %6.2fx\n", p.BatchSize, p.NsPerExec, p.Gain)
 		}
 	}
-	printf("\n")
-	return rep
+	fmt.Printf("\n")
 }
 
 // placementReport runs the placement-policy sweeps on the Thor-Xeon
@@ -289,41 +228,36 @@ func engineReport(print bool) *enginesReport {
 // fixed ship-code pipeline; this measures the choice the paper leaves to
 // the caller). The sequential sweep compares the statics against the
 // zero-load cost model; the concurrent sweep drives windowed offload
-// streams and adds the queueing-aware planner. When print is true the
-// tables go to stdout.
-func placementReport(print bool) []bench.PlacementResult {
+// streams and adds the queueing-aware planner. The tables go to stdout.
+func placementReport() []bench.PlacementResult {
 	rows, err := bench.PlacementSweep(testbed.ThorXeon(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if print {
-		fmt.Printf("--- Placement policies (total virtual time, sequential offload stream) ---\n")
-		fmt.Printf("%-17s %6s %12s %12s %12s %7s %18s\n",
-			"scenario", "ops", "ship", "pull", "cost-model", "win", "cost-model routes")
-		for _, r := range rows {
-			cm := r.Points[2]
-			fmt.Printf("%-17s %6d %10.1fµs %10.1fµs %10.1fµs %6.1f%% ship=%d pull=%d local=%d\n",
-				r.Scenario, r.Ops, r.Points[0].TotalUS, r.Points[1].TotalUS,
-				r.CostModelUS, r.WinPct, cm.ShipOps, cm.PullOps, cm.LocalOps)
-		}
-		fmt.Printf("\n")
+	fmt.Printf("--- Placement policies (total virtual time, sequential offload stream) ---\n")
+	fmt.Printf("%-17s %6s %12s %12s %12s %7s %18s\n",
+		"scenario", "ops", "ship", "pull", "cost-model", "win", "cost-model routes")
+	for _, r := range rows {
+		cm := r.Points[2]
+		fmt.Printf("%-17s %6d %10.1fµs %10.1fµs %10.1fµs %6.1f%% ship=%d pull=%d local=%d\n",
+			r.Scenario, r.Ops, r.Points[0].TotalUS, r.Points[1].TotalUS,
+			r.CostModelUS, r.WinPct, cm.ShipOps, cm.PullOps, cm.LocalOps)
 	}
+	fmt.Printf("\n")
 	conc, err := bench.ConcurrentPlacementSweep(testbed.ThorXeon(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if print {
-		fmt.Printf("--- Concurrent placement (makespan, windowed offload streams) ---\n")
-		fmt.Printf("%-17s %6s %6s %12s %12s %12s %12s %7s %18s\n",
-			"scenario", "ops", "depth", "ship", "pull", "zero-load", "queue", "win", "queue routes")
-		for _, r := range conc {
-			q := r.Points[3]
-			fmt.Printf("%-17s %6d %6d %10.1fµs %10.1fµs %10.1fµs %10.1fµs %6.1f%% ship=%d pull=%d local=%d\n",
-				r.Scenario, r.Ops, r.Depth, r.Points[0].TotalUS, r.Points[1].TotalUS,
-				r.CostModelUS, r.QueueUS, r.QueueWinPct, q.ShipOps, q.PullOps, q.LocalOps)
-		}
-		fmt.Printf("\n")
+	fmt.Printf("--- Concurrent placement (makespan, windowed offload streams) ---\n")
+	fmt.Printf("%-17s %6s %6s %12s %12s %12s %12s %7s %18s\n",
+		"scenario", "ops", "depth", "ship", "pull", "zero-load", "queue", "win", "queue routes")
+	for _, r := range conc {
+		q := r.Points[3]
+		fmt.Printf("%-17s %6d %6d %10.1fµs %10.1fµs %10.1fµs %10.1fµs %6.1f%% ship=%d pull=%d local=%d\n",
+			r.Scenario, r.Ops, r.Depth, r.Points[0].TotalUS, r.Points[1].TotalUS,
+			r.CostModelUS, r.QueueUS, r.QueueWinPct, q.ShipOps, q.PullOps, q.LocalOps)
 	}
+	fmt.Printf("\n")
 	return append(rows, conc...)
 }
 
@@ -333,24 +267,22 @@ func placementReport(print bool) []bench.PlacementResult {
 // the single-heap outcome, so a printed row is also a passed
 // differential. Wall-clock speedups are only meaningful when
 // GOMAXPROCS > 1; the JSON records it so readers can tell.
-func scaleReport(print bool) []bench.ScaleResult {
+func scaleReport() []bench.ScaleResult {
 	rows, err := bench.ScaleSweep(testbed.ThorXeon(), nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if print {
-		fmt.Printf("--- Sharded-engine scale sweep (GOMAXPROCS=%d) ---\n", runtime.GOMAXPROCS(0))
-		fmt.Printf("%-12s %6s %8s %7s %10s %12s %10s %8s\n",
-			"scenario", "nodes", "ops", "shards", "wall", "virtual", "wall/virt", "speedup")
-		for _, r := range rows {
-			for _, run := range r.Runs {
-				fmt.Printf("%-12s %6d %8d %7d %8.1fms %10.1fµs %9.1fx %7.2fx\n",
-					r.Scenario, r.Nodes, r.Ops, run.Shards, run.WallMS,
-					run.VirtualUS, run.WallPerVirtual, run.Speedup)
-			}
+	fmt.Printf("--- Sharded-engine scale sweep (GOMAXPROCS=%d) ---\n", runtime.GOMAXPROCS(0))
+	fmt.Printf("%-12s %6s %8s %7s %10s %12s %10s %8s\n",
+		"scenario", "nodes", "ops", "shards", "wall", "virtual", "wall/virt", "speedup")
+	for _, r := range rows {
+		for _, run := range r.Runs {
+			fmt.Printf("%-12s %6d %8d %7d %8.1fms %10.1fµs %9.1fx %7.2fx\n",
+				r.Scenario, r.Nodes, r.Ops, run.Shards, run.WallMS,
+				run.VirtualUS, run.WallPerVirtual, run.Speedup)
 		}
-		fmt.Printf("\n")
 	}
+	fmt.Printf("\n")
 	return rows
 }
 
@@ -358,42 +290,37 @@ func scaleReport(print bool) []bench.ScaleResult {
 // pairwise vs cluster-wide negotiation) and the delta write-back sweep
 // (pull-route PUT bytes across dirty spans) on the Thor-Xeon profile.
 // Guest outcomes are asserted mode-invariant inside the sweep; only
-// bytes and virtual time may move. When print is true the tables go to
-// stdout.
-func dedupReport(print bool) ([]bench.DedupResult, []bench.DeltaPoint) {
+// bytes and virtual time may move. The tables go to stdout.
+func dedupReport() ([]bench.DedupResult, []bench.DeltaPoint) {
 	const senders = 64
 	rows, err := bench.DedupSweep(testbed.ThorXeon(), senders)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if print {
-		fmt.Printf("--- Content-addressed dedup (%d-way fan-in, cold-send bytes) ---\n", senders)
-		fmt.Printf("%-18s %6s %14s %14s %8s %24s\n",
-			"scenario", "nodes", "pairwise", "cas", "savings", "cas frame mix")
-		for _, r := range rows {
-			if r.CAS.ResultHash != r.Pairwise.ResultHash {
-				log.Fatalf("%s: guest outcome diverged between modes", r.Scenario)
-			}
-			fmt.Printf("%-18s %6d %13dB %13dB %7.2f%% full=%d trunc=%d hashref=%d\n",
-				r.Scenario, r.Nodes, r.Pairwise.ColdCodeBytes, r.CAS.ColdCodeBytes,
-				r.SavingsPct, r.CAS.FullFrames, r.CAS.CASTruncated, r.CAS.HashRefFrames)
+	fmt.Printf("--- Content-addressed dedup (%d-way fan-in, cold-send bytes) ---\n", senders)
+	fmt.Printf("%-18s %6s %14s %14s %8s %24s\n",
+		"scenario", "nodes", "pairwise", "cas", "savings", "cas frame mix")
+	for _, r := range rows {
+		if r.CAS.ResultHash != r.Pairwise.ResultHash {
+			log.Fatalf("%s: guest outcome diverged between modes", r.Scenario)
 		}
-		fmt.Printf("\n")
+		fmt.Printf("%-18s %6d %13dB %13dB %7.2f%% full=%d trunc=%d hashref=%d\n",
+			r.Scenario, r.Nodes, r.Pairwise.ColdCodeBytes, r.CAS.ColdCodeBytes,
+			r.SavingsPct, r.CAS.FullFrames, r.CAS.CASTruncated, r.CAS.HashRefFrames)
 	}
+	fmt.Printf("\n")
 	deltas, err := bench.DeltaSweep(testbed.ThorXeon())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if print {
-		fmt.Printf("--- Delta write-back (pull route, %d-word regions) ---\n", deltas[0].RegionWords)
-		fmt.Printf("%-12s %6s %14s %14s %8s\n",
-			"dirty words", "ops", "put bytes", "full bytes", "put/full")
-		for _, p := range deltas {
-			fmt.Printf("%-12d %6d %13dB %13dB %7.2f%%\n",
-				p.DirtyWords, p.Ops, p.PutBytes, p.FullBytes, p.PutPct)
-		}
-		fmt.Printf("\n")
+	fmt.Printf("--- Delta write-back (pull route, %d-word regions) ---\n", deltas[0].RegionWords)
+	fmt.Printf("%-12s %6s %14s %14s %8s\n",
+		"dirty words", "ops", "put bytes", "full bytes", "put/full")
+	for _, p := range deltas {
+		fmt.Printf("%-12d %6d %13dB %13dB %7.2f%%\n",
+			p.DirtyWords, p.Ops, p.PutBytes, p.FullBytes, p.PutPct)
 	}
+	fmt.Printf("\n")
 	return rows, deltas
 }
 
@@ -401,24 +328,22 @@ func dedupReport(print bool) ([]bench.DedupResult, []bench.DeltaPoint) {
 // profile: repeat pulls of one owner region across (region size, dirty
 // span), cache-on vs cache-off. Guest outcomes are asserted
 // mode-invariant inside the sweep; only GET bytes and virtual time may
-// move. When print is true the table goes to stdout.
-func regioncacheReport(print bool) []bench.RegionCacheResult {
+// move. The table goes to stdout.
+func regioncacheReport() []bench.RegionCacheResult {
 	rows, err := bench.RegionCacheSweep(testbed.ThorXeon())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if print {
-		fmt.Printf("--- Region cache (repeat-pull GET bytes, %d rounds) ---\n", rows[0].Rounds)
-		fmt.Printf("%-8s %-8s %14s %14s %8s %8s %8s %12s %12s\n",
-			"region", "dirty", "cache", "nocache", "savings", "elides", "deltas", "virt(cache)", "virt(off)")
-		for _, r := range rows {
-			fmt.Printf("%-8d %-8d %13dB %13dB %7.2f%% %8d %8d %12d %12d\n",
-				r.RegionWords, r.DirtyWords, r.Cache.GetBytes, r.NoCache.GetBytes,
-				r.SavingsPct, r.Cache.Elides, r.Cache.DeltaPulls,
-				r.Cache.VirtTime, r.NoCache.VirtTime)
-		}
-		fmt.Printf("\n")
+	fmt.Printf("--- Region cache (repeat-pull GET bytes, %d rounds) ---\n", rows[0].Rounds)
+	fmt.Printf("%-8s %-8s %14s %14s %8s %8s %8s %12s %12s\n",
+		"region", "dirty", "cache", "nocache", "savings", "elides", "deltas", "virt(cache)", "virt(off)")
+	for _, r := range rows {
+		fmt.Printf("%-8d %-8d %13dB %13dB %7.2f%% %8d %8d %12d %12d\n",
+			r.RegionWords, r.DirtyWords, r.Cache.GetBytes, r.NoCache.GetBytes,
+			r.SavingsPct, r.Cache.Elides, r.Cache.DeltaPulls,
+			r.Cache.VirtTime, r.NoCache.VirtTime)
 	}
+	fmt.Printf("\n")
 	return rows
 }
 

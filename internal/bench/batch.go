@@ -113,19 +113,15 @@ func SweepBatch(march *isa.MicroArch, eng mcode.Engine, k EngineKernel, sizes []
 }
 
 // SweepBatches runs the default sweep grid: the engine-comparison corpus
-// under the closure engine and the superblock engine (the shipped
-// default) on one µarch — the superblock rows are the new PR 3 sweep
-// tracked in BENCH_engines.json.
+// under mcode.DefaultEngine (the engine nodes run) on one µarch.
 func SweepBatches(march *isa.MicroArch) ([]BatchSweep, error) {
 	var out []BatchSweep
-	for _, eng := range []mcode.Engine{mcode.ClosureEngine{}, mcode.SuperblockEngine{}} {
-		for _, k := range EngineCorpus() {
-			s, err := SweepBatch(march, eng, k, nil)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
+	for _, k := range EngineCorpus() {
+		s, err := SweepBatch(march, mcode.DefaultEngine, k, nil)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, s)
 	}
 	return out, nil
 }

@@ -20,20 +20,17 @@ type EngineResult struct {
 	Kernel string
 	// Steps is the dynamic instruction count of one execution.
 	Steps int64
-	// InterpNs, ClosureNs and SuperNs are the mean wall-clock
-	// nanoseconds per execution under each engine.
-	InterpNs  float64
-	ClosureNs float64
-	SuperNs   float64
-	// Speedup is InterpNs / ClosureNs; SuperSpeedup is ClosureNs /
-	// SuperNs (the superblock engine's win over the plain closure
-	// backend — the PR 3 acceptance metric).
-	Speedup      float64
-	SuperSpeedup float64
+	// InterpNs and SuperNs are the mean wall-clock nanoseconds per
+	// execution under the interpreter and the superblock engine.
+	InterpNs float64
+	SuperNs  float64
+	// Speedup is InterpNs / SuperNs: the compiled engine's win over the
+	// oracle.
+	Speedup float64
 }
 
 // EngineKernel is one workload of the engine comparison corpus (shared
-// with the root BenchmarkEngineInterpVsClosure so the benchmark and the
+// with the root BenchmarkEngineInterpVsSuperblock so the benchmark and the
 // paperbench report measure the same thing).
 type EngineKernel struct {
 	Name  string
@@ -160,67 +157,6 @@ func MeasureVerifier(march *isa.MicroArch) ([]VerifierResult, error) {
 	return out, nil
 }
 
-// ElisionResult is one row of the check-elision comparison: ns/exec of
-// a kernel under one compiled engine with proven-check elision on vs
-// off. Elision is host-perf only — the differential suites pin elided
-// runs bit-identical to the interpreter — so the speedup column is the
-// whole story.
-type ElisionResult struct {
-	Kernel string
-	Engine string
-	// OffNs and OnNs are mean wall-clock nanoseconds per execution with
-	// ElideChecks disabled/enabled.
-	OffNs, OnNs float64
-	// Speedup is OffNs / OnNs.
-	Speedup float64
-}
-
-// CompareElision measures the closure and superblock engines on the
-// corpus with mcode.ElideChecks off and on. Rounds interleave the two
-// modes (fresh artifacts per mode — elision is decided at JIT time) and
-// the fastest round per mode is kept, mirroring CompareEngines.
-func CompareElision(march *isa.MicroArch) ([]ElisionResult, error) {
-	const rounds = 5
-	saved := mcode.ElideChecks
-	defer func() { mcode.ElideChecks = saved }()
-	var out []ElisionResult
-	for _, k := range EngineCorpus() {
-		iters := 20000
-		if k.Name != "tsi" {
-			iters = 1000
-		}
-		for _, eng := range []mcode.Engine{mcode.ClosureEngine{}, mcode.SuperblockEngine{}} {
-			var timers [2]*engineTimer
-			for mode, elide := range []bool{false, true} {
-				mcode.ElideChecks = elide
-				et, err := newEngineTimer(eng, k, march)
-				if err != nil {
-					return nil, fmt.Errorf("bench: elision %s/%s: %w", eng.Name(), k.Name, err)
-				}
-				timers[mode] = et
-			}
-			mcode.ElideChecks = saved
-			best := [2]float64{}
-			for r := 0; r < rounds; r++ {
-				for i, et := range timers {
-					ns, err := et.batch(iters)
-					if err != nil {
-						return nil, fmt.Errorf("bench: elision %s/%s: %w", eng.Name(), k.Name, err)
-					}
-					if r == 0 || ns < best[i] {
-						best[i] = ns
-					}
-				}
-			}
-			out = append(out, ElisionResult{
-				Kernel: k.Name, Engine: eng.Name(),
-				OffNs: best[0], OnNs: best[1], Speedup: best[0] / best[1],
-			})
-		}
-	}
-	return out, nil
-}
-
 // engineTimer is a warm machine ready for repeated timed batches.
 type engineTimer struct {
 	ma    *mcode.Machine
@@ -262,11 +198,10 @@ func (et *engineTimer) batch(iters int) (float64, error) {
 	return float64(time.Since(start).Nanoseconds()) / float64(iters), nil
 }
 
-// CompareEngines measures the interp-vs-closure-vs-superblock wall-clock
-// cost of the comparison corpus on one µarch. Rounds interleave the
-// three engines and the fastest round per engine is kept, so transient
-// host noise (frequency ramp-up, cache warmth, scheduling) cannot bias
-// one side.
+// CompareEngines measures the interp-vs-superblock wall-clock cost of
+// the comparison corpus on one µarch. Rounds interleave the two engines
+// and the fastest round per engine is kept, so transient host noise
+// (frequency ramp-up, cache warmth, scheduling) cannot bias one side.
 func CompareEngines(march *isa.MicroArch) ([]EngineResult, error) {
 	const rounds = 5
 	var out []EngineResult
@@ -275,7 +210,7 @@ func CompareEngines(march *isa.MicroArch) ([]EngineResult, error) {
 		if k.Name != "tsi" {
 			iters = 1000
 		}
-		engines := []mcode.Engine{mcode.InterpEngine{}, mcode.ClosureEngine{}, mcode.SuperblockEngine{}}
+		engines := []mcode.Engine{mcode.InterpEngine{}, mcode.SuperblockEngine{}}
 		timers := make([]*engineTimer, len(engines))
 		for i, eng := range engines {
 			et, err := newEngineTimer(eng, k, march)
@@ -284,7 +219,7 @@ func CompareEngines(march *isa.MicroArch) ([]EngineResult, error) {
 			}
 			timers[i] = et
 		}
-		best := [3]float64{}
+		best := [2]float64{}
 		for r := 0; r < rounds; r++ {
 			for i, et := range timers {
 				ns, err := et.batch(iters)
@@ -298,8 +233,7 @@ func CompareEngines(march *isa.MicroArch) ([]EngineResult, error) {
 		}
 		out = append(out, EngineResult{
 			Kernel: k.Name, Steps: timers[0].steps,
-			InterpNs: best[0], ClosureNs: best[1], SuperNs: best[2],
-			Speedup: best[0] / best[1], SuperSpeedup: best[1] / best[2],
+			InterpNs: best[0], SuperNs: best[1], Speedup: best[0] / best[1],
 		})
 	}
 	return out, nil

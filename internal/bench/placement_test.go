@@ -69,7 +69,7 @@ func TestPlacementCostModelWins(t *testing.T) {
 
 // TestPlacementDeterministicAcrossRunsAndEngines runs the cost-model
 // policy on the acceptance scenario twice on the default engine and once
-// per alternative engine: total virtual time, route mix and result hash
+// on the interpreter: total virtual time, route mix and result hash
 // must be identical everywhere — decisions consume only engine-invariant
 // virtual-time state, so engine choice (host wall-clock) can never leak
 // into placement.
@@ -82,13 +82,10 @@ func TestPlacementDeterministicAcrossRunsAndEngines(t *testing.T) {
 	base := testbed.ThorXeon()
 	interp := testbed.ThorXeon()
 	interp.Engine = "interp"
-	closure := testbed.ThorXeon()
-	closure.Engine = "closure"
 	runs := []run{
 		{"superblock-1", base},
 		{"superblock-2", base},
 		{"interp", interp},
-		{"closure", closure},
 	}
 	total0, stats0, hash0, err := RunPlacementScenario(runs[0].prof, params, place.PolicyCostModel)
 	if err != nil {
@@ -196,7 +193,7 @@ func TestConcurrentQueueModelWins(t *testing.T) {
 
 // TestConcurrentPlacementDeterministicAcrossRunsAndEngines runs the
 // queueing-aware policy on the concurrent acceptance scenario twice on
-// the default engine and once per alternative engine: makespan, route
+// the default engine and once on the interpreter: makespan, route
 // stats, result hash and the planner's full committed decision trace
 // (routes, estimates, horizon claims) must be identical everywhere.
 func TestConcurrentPlacementDeterministicAcrossRunsAndEngines(t *testing.T) {
@@ -204,8 +201,6 @@ func TestConcurrentPlacementDeterministicAcrossRunsAndEngines(t *testing.T) {
 	base := testbed.ThorXeon()
 	interp := testbed.ThorXeon()
 	interp.Engine = "interp"
-	closure := testbed.ThorXeon()
-	closure.Engine = "closure"
 	runs := []struct {
 		label string
 		prof  testbed.Profile
@@ -213,7 +208,6 @@ func TestConcurrentPlacementDeterministicAcrossRunsAndEngines(t *testing.T) {
 		{"superblock-1", base},
 		{"superblock-2", base},
 		{"interp", interp},
-		{"closure", closure},
 	}
 	total0, stats0, hash0, trace0, err := RunConcurrentPlacementScenario(runs[0].prof, params, place.PolicyCostModelQueue)
 	if err != nil {

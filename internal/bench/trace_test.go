@@ -1,11 +1,10 @@
 package bench
 
 // Trace determinism suite: the canonical trace bytes must be identical
-// across repeated runs, across execution engines (the adaptive engine is
-// excluded — its promotion instants are engine-specific by design), and
-// across shard counts; and attaching a trace must never perturb the
-// simulated outcome. These are the observability layer's differential
-// guarantees, mirrored after the virtual-time invariance suites.
+// across repeated runs, across execution engines, and across shard
+// counts; and attaching a trace must never perturb the simulated
+// outcome. These are the observability layer's differential guarantees,
+// mirrored after the virtual-time invariance suites.
 
 import (
 	"bytes"
@@ -18,14 +17,12 @@ import (
 
 // TestTraceDeterministicAcrossRunsAndEngines pins the canonical trace of
 // the concurrent-hetero scenario byte-for-byte across repeated runs and
-// across the interp/closure/superblock engines.
+// across the interp and superblock engines.
 func TestTraceDeterministicAcrossRunsAndEngines(t *testing.T) {
 	params := ConcurrentPlacementScenarios()[0].Params
 	base := testbed.ThorXeon()
 	interp := testbed.ThorXeon()
 	interp.Engine = "interp"
-	closure := testbed.ThorXeon()
-	closure.Engine = "closure"
 	runs := []struct {
 		label string
 		prof  testbed.Profile
@@ -33,7 +30,6 @@ func TestTraceDeterministicAcrossRunsAndEngines(t *testing.T) {
 		{"superblock-1", base},
 		{"superblock-2", base},
 		{"interp", interp},
-		{"closure", closure},
 	}
 	out0, err := RunTracedConcurrentScenario(runs[0].prof, params, place.PolicyCostModelQueue)
 	if err != nil {

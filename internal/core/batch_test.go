@@ -95,19 +95,18 @@ func TestMaxDrainOnePreservesPerMessagePolling(t *testing.T) {
 }
 
 // TestMixedEngineClusterMatchesHomogeneous runs the same traffic through
-// a homogeneous closure cluster and a heterogeneous closure/interp/
-// adaptive cluster and requires identical virtual-time outcomes: final
-// simulation clock, per-node CPU busy time and guest-visible state. This
-// is the contract that lets a deployment pick engines per node — a DPU
-// on the interpreter, a host on closures, a bursty node on adaptive —
-// without perturbing any simulated metric.
+// a homogeneous superblock cluster and a heterogeneous superblock/interp
+// cluster and requires identical virtual-time outcomes: final simulation
+// clock, per-node CPU busy time and guest-visible state. This is the
+// contract that lets a deployment pick engines per node — a DPU on the
+// interpreter, a host on compiled superblocks — without perturbing any
+// simulated metric.
 func TestMixedEngineClusterMatchesHomogeneous(t *testing.T) {
-	// Enough messages per node to push the adaptive engine past its
-	// promotion threshold inside the run.
-	const msgsPerNode = mcode.DefaultAdaptiveThreshold + 8
+	// Enough messages per node that drains batch several frames.
+	const msgsPerNode = 40
 
-	run := func(engines [3]string) (now sim.Time, busy [4]sim.Time, counters [3]uint64, c *Cluster) {
-		c = NewCluster(testParams(), []NodeSpec{
+	run := func(engines [3]string) (now sim.Time, busy [4]sim.Time, counters [3]uint64) {
+		c := NewCluster(testParams(), []NodeSpec{
 			{Name: "src", March: isa.XeonE5(), Engine: engines[0]},
 			{Name: "n1", March: isa.XeonE5(), Engine: engines[0]},
 			{Name: "n2", March: isa.CortexA72(), Engine: engines[1]},
@@ -141,13 +140,13 @@ func TestMixedEngineClusterMatchesHomogeneous(t *testing.T) {
 		for i := range busy {
 			busy[i] = c.Runtime(i).Node.Stats.CPUBusy
 		}
-		return c.Eng.Now(), busy, counters, c
+		return c.Eng.Now(), busy, counters
 	}
 
-	homoNow, homoBusy, homoCounters, _ := run([3]string{
-		mcode.EngineNameClosure, mcode.EngineNameClosure, mcode.EngineNameClosure})
-	mixNow, mixBusy, mixCounters, mixed := run([3]string{
-		mcode.EngineNameClosure, mcode.EngineNameInterp, mcode.EngineNameAdaptive})
+	homoNow, homoBusy, homoCounters := run([3]string{
+		mcode.EngineNameSuperblock, mcode.EngineNameSuperblock, mcode.EngineNameSuperblock})
+	mixNow, mixBusy, mixCounters := run([3]string{
+		mcode.EngineNameInterp, mcode.EngineNameSuperblock, mcode.EngineNameInterp})
 
 	if homoNow != mixNow {
 		t.Errorf("final virtual time diverges: homogeneous %v, mixed %v", homoNow, mixNow)
@@ -162,22 +161,5 @@ func TestMixedEngineClusterMatchesHomogeneous(t *testing.T) {
 		if got != msgsPerNode {
 			t.Errorf("node %d counter = %d, want %d", i+1, got, msgsPerNode)
 		}
-	}
-
-	// The adaptive node's traffic crossed the threshold, so its
-	// registration must be running on the promoted closure artifact.
-	adaptive := mixed.Runtime(3)
-	h, _ := mixed.Runtime(0).Handle("tsi")
-	reg, ok := adaptive.Reg.Get(h.Hash)
-	if !ok || reg.Compiled == nil {
-		t.Fatal("no registration on the adaptive node")
-	}
-	execs, promoted, isAdaptive := mcode.AdaptiveStatus(reg.Compiled.Art)
-	if !isAdaptive {
-		t.Fatal("adaptive node's artifact is not adaptive")
-	}
-	if execs < mcode.DefaultAdaptiveThreshold || !promoted {
-		t.Errorf("adaptive artifact: execs=%d promoted=%v, want promotion past threshold %d",
-			execs, promoted, mcode.DefaultAdaptiveThreshold)
 	}
 }

@@ -52,14 +52,13 @@ type NodeSpec struct {
 	// MemBytes is the node heap size (0 = 16 MiB default).
 	MemBytes int
 	// Engine selects the node's execution backend by mcode registry name
-	// ("superblock", "closure", "interp", "adaptive"; "" =
-	// mcode.DefaultEngine, the superblock backend). Heterogeneous
-	// clusters may mix engines per node — a constrained DPU core can run
-	// a different backend than a wide host core, and "adaptive" starts
-	// each registration on the interpreter and promotes it to the
-	// superblock artifact once observed traffic amortizes the compile. Engines never perturb virtual-time metrics (differentially
-	// tested), only host wall-clock speed. An unknown name panics in
-	// NewCluster (a deployment configuration bug).
+	// ("superblock" or "interp"; "" = mcode.DefaultEngine, the superblock
+	// backend). Heterogeneous clusters may mix engines per node, e.g. a
+	// DPU on the interpreter oracle next to a compiled host. Engines
+	// never perturb virtual-time metrics (differentially tested), only
+	// host wall-clock speed. An unknown name — including the retired
+	// "closure" and "adaptive" — panics in NewCluster (a deployment
+	// configuration bug).
 	Engine string
 	// StoreBudget bounds the node's content-addressed store (bytes;
 	// 0 = unlimited). Pinned content (live registrations and handles)
@@ -358,11 +357,6 @@ type Runtime struct {
 	// virtual-time latency into it at signal fire.
 	routeHists [3]*obs.Histogram
 
-	// adaptiveClock is the adaptive engine's per-node traffic clock (nil
-	// for other engines); the drain loop sweeps it periodically so
-	// promoted artifacts of types whose traffic never returns are freed.
-	adaptiveClock *mcode.AdaptiveClock
-
 	seq uint32
 
 	// execution context while a guest runs (run-to-completion).
@@ -493,7 +487,6 @@ func newRuntime(c *Cluster, node *fabric.Node, eng mcode.Engine) *Runtime {
 	node.OnWrite = r.regionClock.TouchRange
 	r.Session = jit.NewSession(node.March, r.Loader, r.allocGlobal)
 	r.Session.Engine = eng
-	r.adaptiveClock, _ = mcode.AdaptiveClockOf(eng)
 	r.payloadBuf = node.Alloc(payloadArena)
 	r.heapKey = r.Worker.RegisterMem(0, uint64(len(node.Mem())))
 	r.Worker.SetIfuncDrain(r.drainSink)
@@ -1024,16 +1017,8 @@ type frameGroup struct {
 // FIFO within a burst should pin Worker.MaxDrain = 1, which restores
 // strict per-message delivery (a one-frame drain has one group, so the
 // cost-aware order is vacuous on the paper-fidelity path).
-// adaptiveSweepInterval is the drain cadence of the idle-artifact sweep:
-// rare enough to stay off the hot path, frequent enough that a dead
-// type's superblock artifact does not outlive its idle window by much.
-const adaptiveSweepInterval = 1024
-
 func (r *Runtime) drainSink(batch []ucx.IfuncDelivery) {
 	r.Stats.Drains++
-	if r.adaptiveClock != nil && r.Stats.Drains%adaptiveSweepInterval == 0 {
-		r.adaptiveClock.SweepIdle()
-	}
 	groups := r.groupFrames(batch)
 	orderGroupsByCost(groups)
 	for _, g := range groups {

@@ -80,11 +80,11 @@ func TestExecuteRecordsEntryError(t *testing.T) {
 }
 
 // TestPerNodeEngineSelection runs a heterogeneous cluster mixing the
-// closure and interpreter engines and checks both deliver identical
+// superblock and interpreter engines and checks both deliver identical
 // guest-visible results.
 func TestPerNodeEngineSelection(t *testing.T) {
 	c := NewCluster(testParams(), []NodeSpec{
-		{Name: "host", March: isa.XeonE5(), Engine: mcode.EngineNameClosure},
+		{Name: "host", March: isa.XeonE5(), Engine: mcode.EngineNameSuperblock},
 		{Name: "dpu", March: isa.CortexA72(), Engine: mcode.EngineNameInterp},
 	})
 	src, dst := c.Runtime(0), c.Runtime(1)
@@ -115,12 +115,17 @@ func TestPerNodeEngineSelection(t *testing.T) {
 	}
 }
 
-// TestUnknownEnginePanics pins the configuration-bug contract.
+// TestUnknownEnginePanics pins the configuration-bug contract, including
+// for the retired "closure" and "adaptive" engine names.
 func TestUnknownEnginePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewCluster with an unknown engine name should panic")
-		}
-	}()
-	NewCluster(testParams(), []NodeSpec{{Name: "x", March: isa.XeonE5(), Engine: "jit9000"}})
+	for _, name := range []string{"jit9000", "closure", "adaptive"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewCluster with unknown engine name %q should panic", name)
+				}
+			}()
+			NewCluster(testParams(), []NodeSpec{{Name: "x", March: isa.XeonE5(), Engine: name}})
+		}()
+	}
 }

@@ -2,11 +2,10 @@ package core
 
 // Observability wiring: AttachTrace threads one obs.NodeTrace per node
 // through every layer that emits spans (fabric tx, ucx drains, the
-// runtime's plan/frame/pull/execute sites, the store's evictions and the
-// adaptive engine's tier transitions), plus a scheduler lane fed by the
-// engine's window hook. AttachMetrics registers every per-node stats
-// field with a unified obs.Registry and installs the per-route offload
-// latency histograms.
+// runtime's plan/frame/pull/execute sites and the store's evictions),
+// plus a scheduler lane fed by the engine's window hook. AttachMetrics
+// registers every per-node stats field with a unified obs.Registry and
+// installs the per-route offload latency histograms.
 //
 // Both attachments are strictly additive observation: they never
 // schedule virtual-time work, charge costs, or perturb any simulated
@@ -42,15 +41,6 @@ func (c *Cluster) AttachTrace(t *obs.Trace) {
 		rt.Store.OnEvict = func(rec ifunc.EvictRecord) {
 			nt.Instant(obs.TrackCore, "store-evict", rt.eng().Now()).
 				Arg("bytes", uint64(rec.Bytes)).Arg("hash", rec.Hash)
-		}
-		if clk := rt.adaptiveClock; clk != nil {
-			clk.OnPromote = func(module string, execs uint64) {
-				nt.Instant(obs.TrackCore, "adaptive-promote", rt.eng().Now()).
-					Arg("execs", execs).Label(module)
-			}
-			clk.OnDemote = func(module string) {
-				nt.Instant(obs.TrackCore, "adaptive-demote", rt.eng().Now()).Label(module)
-			}
 		}
 	}
 	c.Eng.SetWindowHook(func(start, horizon sim.Time, active int) {

@@ -10,7 +10,6 @@ import (
 
 	"threechains/internal/ir"
 	"threechains/internal/isa"
-	"threechains/internal/mcode"
 	"threechains/internal/place"
 	"threechains/internal/sim"
 	"threechains/internal/ucx"
@@ -446,53 +445,6 @@ func TestOffloadStreamWindow(t *testing.T) {
 	}
 	if s.MaxInFlight > 2 {
 		t.Fatalf("window exceeded: %d in flight", s.MaxInFlight)
-	}
-}
-
-// TestAdaptiveRuntimeSweep drives the drain-loop idle sweep end to end:
-// on adaptive-engine nodes, a promoted type whose traffic permanently
-// stops loses its superblock artifact once enough other traffic has
-// drained — without the dead type ever executing again.
-func TestAdaptiveRuntimeSweep(t *testing.T) {
-	c := NewCluster(testParams(), []NodeSpec{
-		{Name: "host", March: isa.XeonE5(), Engine: "adaptive"},
-		{Name: "dpu", March: isa.CortexA72(), Engine: "adaptive"},
-	})
-	src, dst := c.Runtime(0), c.Runtime(1)
-	dst.TargetPtr = dst.Node.Alloc(8)
-	hA, err := src.RegisterBitcode("typeA", BuildTSI(), allTriples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := src.RegisterBitcode("typeB", buildPayloadAdder(), allTriples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	send := func(h *Handle, n int) {
-		for i := 0; i < n; i++ {
-			if err := src.SendQuiet(1, h, "main", make([]byte, 8)); err != nil {
-				t.Fatal(err)
-			}
-			c.Run()
-		}
-	}
-	send(hA, mcode.DefaultAdaptiveThreshold+1)
-	regA, ok := dst.Reg.Get(hA.Hash)
-	if !ok {
-		t.Fatal("typeA not registered")
-	}
-	if _, promoted, isAd := mcode.AdaptiveStatus(regA.Compiled.Art); !isAd || !promoted {
-		t.Fatalf("typeA not promoted (adaptive=%v promoted=%v)", isAd, promoted)
-	}
-
-	// A's traffic dies; B drains past the idle window and the sweep
-	// cadence (each send is one drain).
-	send(hB, mcode.DefaultAdaptiveIdleWindow+2*adaptiveSweepInterval)
-	if _, promoted, _ := mcode.AdaptiveStatus(regA.Compiled.Art); promoted {
-		t.Fatal("idle typeA kept its superblock artifact (runtime sweep never ran)")
-	}
-	if got := mcode.AdaptiveDemotions(regA.Compiled.Art); got != 1 {
-		t.Fatalf("typeA demotions = %d, want 1", got)
 	}
 }
 

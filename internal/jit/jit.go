@@ -37,7 +37,7 @@ type GlobalAllocator func(g ir.Global) uint64
 type Compiled struct {
 	CM   *mcode.CompiledModule
 	Link *mcode.Linkage
-	// Art is the execution-engine artifact (closure code or interpreter
+	// Art is the execution-engine artifact (superblock code or interpreter
 	// binding), compiled once here and reused by every machine that runs
 	// the module — the paper's "generated machine code stays alive until
 	// the ifunc is de-registered".

@@ -7,33 +7,20 @@ import (
 	"threechains/internal/isa"
 )
 
-// ClosureEngine is the threaded-code execution backend: Prepare compiles
-// every lowered instruction into a Go closure with register indices,
-// immediates, type specializations and branch targets resolved once, so
-// the per-step cost at run time drops to one indirect call. Within a
-// basic block the closures are chained directly (each calls the next),
-// and step/op-count accounting is batched per block from statically
-// known totals, eliminating the interpreter's per-instruction decode,
-// bounds, counter and limit traffic. This is the one-time JIT investment
-// the paper's model assumes buys near-native execution (§III-C).
-type ClosureEngine struct{}
+// Closure compilation is the execution machinery of the superblock
+// engine (superblock.go): Prepare compiles every lowered instruction into
+// a Go closure with register indices, immediates, type specializations
+// and branch targets resolved once, so the per-step cost at run time
+// drops to one indirect call. Within a compiled region the closures are
+// chained directly (each calls the next), and step/op-count accounting is
+// batched per region from statically known totals, eliminating the
+// interpreter's per-instruction decode, bounds, counter and limit
+// traffic. This is the one-time JIT investment the paper's model assumes
+// buys near-native execution (§III-C).
 
-// Name implements Engine.
-func (ClosureEngine) Name() string { return EngineNameClosure }
-
-// Prepare implements Engine.
-func (ClosureEngine) Prepare(cm *CompiledModule) (Artifact, error) {
-	return prepareClosureArtifact(cm, false)
-}
-
-// prepareClosureArtifact compiles the module for the closure backend; in
-// superblock mode (superblock.go) blocks are merged into extended basic
-// blocks and the widened fusion set applies.
-func prepareClosureArtifact(cm *CompiledModule, super bool) (Artifact, error) {
-	kind := EngineNameClosure
-	if super {
-		kind = EngineNameSuperblock
-	}
+// prepareClosureArtifact compiles the module into superblock-formed
+// closure chains.
+func prepareClosureArtifact(cm *CompiledModule) (Artifact, error) {
 	// Static dataflow facts (analysis.go) let the compiled closures drop
 	// checks the verifier already discharged: bounds tests on accesses
 	// proven inside an alloca region, and per-traversal budget checks in
@@ -41,11 +28,11 @@ func prepareClosureArtifact(cm *CompiledModule, super bool) (Artifact, error) {
 	// that fails verification gets no facts and compiles fully checked —
 	// so artifacts prepared outside the admission path keep working.
 	facts := Analyze(cm)
-	a := &closureArtifact{cm: cm, super: super, progs: make([]*cprog, len(cm.Funcs))}
+	a := &closureArtifact{cm: cm, progs: make([]*cprog, len(cm.Funcs))}
 	for i, p := range cm.Funcs {
 		cp, err := a.compileProg(p, facts.Func(i))
 		if err != nil {
-			return nil, fmt.Errorf("mcode: %s-compile %s.%s: %w", kind, cm.Name, p.Name, err)
+			return nil, fmt.Errorf("mcode: %s-compile %s.%s: %w", EngineNameSuperblock, cm.Name, p.Name, err)
 		}
 		a.progs[i] = cp
 	}
@@ -57,7 +44,7 @@ func prepareClosureArtifact(cm *CompiledModule, super bool) (Artifact, error) {
 // pointer at compile time.
 type bclosure func(f *cframe) (*cblock, error)
 
-// cframe is one function activation under the closure engine. Frames are
+// cframe is one function activation of closure-compiled code. Frames are
 // pooled on the Machine, so steady-state execution does not allocate.
 type cframe struct {
 	ma     *Machine
@@ -74,12 +61,13 @@ type cdelta struct {
 	n  uint64
 }
 
-// cblock is one compiled basic block: the head of its closure chain plus
-// the statically known step and count totals charged when it retires.
+// cblock is one compiled region (a superblock rooted at a basic-block
+// leader): the head of its closure chain plus the statically known step
+// and count totals charged when it retires.
 type cblock struct {
 	run bclosure
 	// steps is the instruction count charged (and checked against
-	// MaxSteps) on block entry.
+	// MaxSteps) on region entry.
 	steps int64
 	// start is the block's first pc in the lowered code — the entry point
 	// for the exact-abort fallback, which replays the block's in-budget
@@ -101,28 +89,24 @@ type cprog struct {
 	// prog is the lowered source the blocks were compiled from, kept for
 	// the exact-abort interpreter fallback.
 	prog *Program
-	// fast marks a single-block, ret-terminated function (superblock
-	// mode): the activation runs through callFast, which skips the
-	// trampoline loop entirely — the dominant shape of tiny message
-	// kernels like TSI.
+	// fast marks a single-block, ret-terminated function: the activation
+	// runs through callFast, which skips the trampoline loop entirely —
+	// the dominant shape of tiny message kernels like TSI.
 	fast bool
 	// direct, when non-nil, is the whole-function superinstruction
-	// (superblock mode, compileDirectRMW): it executes the entire
-	// activation without a frame or register file. It handles only the
-	// happy path — before any state is mutated it bails out (ok=false)
-	// on budget or bounds deviations, and the activation re-runs through
-	// the ordinary chain, which reproduces aborts and faults with exact
-	// accounting.
+	// (compileDirectRMW): it executes the entire activation without a
+	// frame or register file. It handles only the happy path — before any
+	// state is mutated it bails out (ok=false) on budget or bounds
+	// deviations, and the activation re-runs through the ordinary chain,
+	// which reproduces aborts and faults with exact accounting.
 	direct func(ma *Machine, args []uint64) (v uint64, err error, ok bool)
 }
 
-// closureArtifact is a module compiled by ClosureEngine — or, with super
-// set, by SuperblockEngine, which shares the whole execution machinery
-// and differs only in how blocks are formed and fused (superblock.go).
+// closureArtifact is a module compiled by SuperblockEngine: closure
+// chains per superblock region (superblock.go forms and fuses them).
 type closureArtifact struct {
 	cm    *CompiledModule
 	progs []*cprog
-	super bool
 	// merged and loops count multi-segment superblocks and native
 	// self-loops formed at compile time (SuperblockStats).
 	merged, loops int
@@ -359,19 +343,8 @@ func isTerminator(op MOp) bool {
 	return op == MJmp || op == MJnz || op == MCmpBr || op == MRet
 }
 
-// elideAt reports whether the bounds test of the 8-byte memory access at
-// pc can be compiled out: the verifier's abstract interpretation must
-// have proven the access inside the frame's alloca region on every path
-// (FuncFacts.BoundsProven) and the global ElideChecks escape hatch must
-// be on. Purely a host-speed decision — the elided closure computes
-// exactly the state the checked one would, so no simulated outcome can
-// depend on it.
-func elideAt(ff *FuncFacts, pc int32) bool {
-	return ElideChecks && ff.BoundsProven(pc)
-}
-
 // compileProg partitions the linear code into basic blocks and compiles
-// each into a closure chain.
+// the superblock region rooted at each into a closure chain.
 func (a *closureArtifact) compileProg(p *Program, ff *FuncFacts) (*cprog, error) {
 	cp := &cprog{name: p.Name, params: p.Params, numRegs: p.NumRegs, prog: p}
 	code := p.Code
@@ -453,106 +426,18 @@ func (a *closureArtifact) compileProg(p *Program, ff *FuncFacts) (*cprog, error)
 		}
 		return &cp.blocks[blockOf[pc]]
 	}
-	if a.super && nblocks == 1 && code[len(code)-1].Op == MRet {
+	if nblocks == 1 && code[len(code)-1].Op == MRet {
 		cp.fast = true
 		cp.direct = compileDirectRMW(p)
 	}
 	for b := range starts {
-		if a.super {
-			blk, err := a.compileSuper(p, b, starts, blockOf, tgt, &cp.blocks[b], ff)
-			if err != nil {
-				return nil, err
-			}
-			cp.blocks[b] = blk
-			continue
-		}
-		start := starts[b]
-		end := len(code)
-		if b+1 < len(starts) {
-			end = starts[b+1]
-		}
-		blk, err := a.compileBlock(p, start, end, tgt, ff)
+		blk, err := a.compileSuper(p, b, starts, blockOf, tgt, &cp.blocks[b], ff)
 		if err != nil {
 			return nil, err
 		}
 		cp.blocks[b] = blk
 	}
 	return cp, nil
-}
-
-// compileBlock compiles code[start:end) into one closure chain, built
-// backwards so every instruction captures its successor directly.
-func (a *closureArtifact) compileBlock(p *Program, start, end int, tgt func(int32) *cblock, ff *FuncFacts) (cblock, error) {
-	code := p.Code
-	blk := cblock{steps: int64(end - start), start: int32(start)}
-
-	// Static per-instruction deltas and their running prefix sums (for
-	// exact accounting at fault sites).
-	prefixes := make([][]cdelta, end-start)
-	var running []cdelta
-	for i := start; i < end; i++ {
-		for _, d := range staticDeltas(&code[i]) {
-			running = addDelta(running, d.op, d.n)
-		}
-		prefixes[i-start] = append([]cdelta(nil), running...)
-	}
-	blk.deltas = running
-
-	// Seed the chain with the terminator (or a synthetic fall-through /
-	// past-end tail when the block does not end in a control transfer).
-	var next bclosure
-	bodyEnd := end
-	if isTerminator(code[end-1].Op) {
-		var err error
-		next, err = a.compileTerm(&code[end-1], tgt)
-		if err != nil {
-			return blk, err
-		}
-		bodyEnd = end - 1
-	} else if end < len(code) {
-		t := tgt(int32(end))
-		next = func(f *cframe) (*cblock, error) { return t, nil }
-	} else {
-		name, pc := p.Name, end
-		next = func(f *cframe) (*cblock, error) {
-			return nil, fmt.Errorf("mcode: %s: pc %d past end", name, pc)
-		}
-	}
-
-	// chain[k] is the closure chain starting at instruction start+k; the
-	// extra tail slot seeds it with the terminator. Keeping every head
-	// lets superinstruction fusion skip over its absorbed neighbors.
-	fxAt := func(i int) *faultFix {
-		return &faultFix{suffixSteps: int64(end - 1 - i), prefix: prefixes[i-start]}
-	}
-	chain := make([]bclosure, bodyEnd-start+1)
-	chain[bodyEnd-start] = next
-	for i := bodyEnd - 1; i >= start; i-- {
-		k := i - start
-		// Superinstruction fusion, longest pattern first. A fault inside
-		// a fused group can only come from its final store, so the
-		// group's fault fix is that instruction's.
-		if i+2 < bodyEnd && fusableConstALU(&code[i], &code[i+1]) &&
-			fusableALUStore8(&code[i+1], &code[i+2]) {
-			chain[k] = fuseConstALUStore8(&code[i], &code[i+1], &code[i+2], chain[k+3], fxAt(i+2), elideAt(ff, int32(i+2)))
-			continue
-		}
-		if i+1 < bodyEnd && fusableALUStore8(&code[i], &code[i+1]) {
-			chain[k] = fuseALUStore8(&code[i], &code[i+1], chain[k+2], fxAt(i+1), elideAt(ff, int32(i+1)))
-			continue
-		}
-		if i+1 < bodyEnd && fusableConstALU(&code[i], &code[i+1]) {
-			chain[k] = fuseConstALU(&code[i], &code[i+1], chain[k+2])
-			continue
-		}
-		c, err := a.compileInstr(&code[i], chain[k+1], fxAt(i), elideAt(ff, int32(i)))
-		if err != nil {
-			return blk, err
-		}
-		chain[k] = c
-	}
-	blk.run = chain[0]
-	return blk, nil
 }
 
 // fusableALUStore8 reports whether an add/sub result is immediately
@@ -818,8 +703,11 @@ func (a *closureArtifact) compileTerm(in *MInstr, tgt func(int32) *cblock) (bclo
 }
 
 // compileInstr compiles one straight-line instruction, chaining to next.
-// Faulting paths restore exact accounting through fx. elide (elideAt)
-// licenses dropping the bounds test of a proven-in-bounds 8-byte access.
+// Faulting paths restore exact accounting through fx. elide licenses
+// dropping the bounds test of an 8-byte access the verifier proved inside
+// the frame's alloca region on every path (FuncFacts.BoundsProven).
+// Purely a host-speed decision — the elided closure computes exactly the
+// state the checked one would, so no simulated outcome can depend on it.
 func (a *closureArtifact) compileInstr(in *MInstr, next bclosure, fx *faultFix, elide bool) (bclosure, error) {
 	d, x, y, z := int(in.Dst), int(in.A), int(in.B), int(in.C)
 	imm := in.Imm

@@ -13,38 +13,32 @@ import (
 // execution, so the per-µarch backend must be swappable — a wimpy DPU
 // core and a wide host core may want different execution strategies.
 //
-// Four engines ship today:
+// Two engines ship today:
 //
+//   - SuperblockEngine ("superblock"): the compiled backend and the
+//     default (superblock.go). Prepare compiles every lowered instruction
+//     into a Go closure with registers, immediates and branch targets
+//     resolved once (closure.go), and merges blocks into extended basic
+//     blocks — unconditional chains flattened, self-loops run as native
+//     Go loops, and a superinstruction fusion set (load+op+store,
+//     read-modify-write, store-to-load forwarding, compare+branch and
+//     counted-loop back-edge tails). Step and op-count accounting is
+//     batched per region.
 //   - InterpEngine ("interp"): the reference giant-switch interpreter.
 //     Zero prepare cost, highest per-step cost. The semantic oracle.
-//   - ClosureEngine ("closure"): pre-compiles every instruction into a
-//     Go closure with registers, immediates and branch targets resolved
-//     at prepare time (threaded-code style), batching step/op-count
-//     accounting per basic block.
-//   - SuperblockEngine ("superblock"): the closure backend with blocks
-//     merged into extended basic blocks at prepare time — unconditional
-//     chains flattened, self-loops run as native Go loops, and a widened
-//     superinstruction fusion set (load+op+store, read-modify-write,
-//     store-to-load forwarding, compare+branch and counted-loop
-//     back-edge tails). Amortizes dispatch *within* one activation.
-//     Default engine (superblock.go).
-//   - AdaptiveEngine ("adaptive"): starts every module on the
-//     interpreter and promotes it to the superblock artifact once
-//     observed traffic crosses the compile-amortization threshold
-//     (adaptive.go).
 //
-// All engines produce bit-identical results, dynamic operation counts,
+// Both engines produce bit-identical results, dynamic operation counts,
 // step totals, memory effects and errors — including on ir.ErrMaxSteps
-// aborts: the closure engine pre-charges steps per basic block, but when
-// a block's charge would blow the budget it refunds the charge and
-// replays that block's in-budget prefix through the reference
-// interpreter loop, so abort-time counters and the final partial block's
-// side effects match the oracle exactly. The differential tests in
-// engine_test.go hold every engine (and the RunBatch path) to this
-// contract; it is what lets the runtime pick engines per node without
-// perturbing the simulation's virtual time.
+// aborts: the superblock engine pre-charges steps per region, but when a
+// region's charge would blow the budget it refunds the charge and replays
+// that region's in-budget prefix through the reference interpreter loop,
+// so abort-time counters and the final partial region's side effects
+// match the oracle exactly. The differential tests in engine_test.go and
+// superblock_test.go hold the compiled engine (and the RunBatch path) to
+// this contract; it is what lets the runtime pick engines per node
+// without perturbing the simulation's virtual time.
 type Engine interface {
-	// Name returns the engine's registry name ("interp", "closure").
+	// Name returns the engine's registry name ("superblock", "interp").
 	Name() string
 	// Prepare compiles the module into a runnable artifact. The artifact
 	// is immutable and may be shared by any number of Machines (it holds
@@ -76,20 +70,18 @@ type Artifact interface {
 // Engine registry names.
 const (
 	EngineNameInterp     = "interp"
-	EngineNameClosure    = "closure"
 	EngineNameSuperblock = "superblock"
-	EngineNameAdaptive   = "adaptive"
 )
 
-// DefaultEngine executes modules when no engine is selected explicitly.
-// The superblock engine wins on every measured workload (see
-// BenchmarkEngineInterpVsClosure and BENCH_engines.json), so it is the
-// default.
+// DefaultEngine executes modules when no engine is selected explicitly:
+// the superblock engine, the one compiled backend (see
+// BenchmarkEngineInterpVsSuperblock and BENCH_engines.json). The
+// interpreter stays selectable as the oracle.
 var DefaultEngine Engine = SuperblockEngine{}
 
 // EngineNames lists the registered engine names.
 func EngineNames() []string {
-	return []string{EngineNameSuperblock, EngineNameClosure, EngineNameInterp, EngineNameAdaptive}
+	return []string{EngineNameSuperblock, EngineNameInterp}
 }
 
 // EngineByName resolves an engine registry name. The empty string picks
@@ -98,18 +90,10 @@ func EngineByName(name string) (Engine, error) {
 	switch name {
 	case "":
 		return DefaultEngine, nil
-	case EngineNameClosure:
-		return ClosureEngine{}, nil
 	case EngineNameSuperblock:
 		return SuperblockEngine{}, nil
 	case EngineNameInterp:
 		return InterpEngine{}, nil
-	case EngineNameAdaptive:
-		// Each resolution carries a fresh traffic clock: a cluster node
-		// resolves its engine once, so artifacts prepared through that
-		// node's JIT session share one clock and age against the node's
-		// own message stream (demotion of idle promoted types).
-		return AdaptiveEngine{Clock: NewAdaptiveClock()}, nil
 	}
 	return nil, fmt.Errorf("mcode: unknown engine %q (have %s)",
 		name, strings.Join(EngineNames(), ", "))
@@ -128,8 +112,8 @@ func MustEngine(name string) Engine {
 // InterpEngine is the reference execution engine: the giant-switch
 // interpreter over lowered instructions (vm.go). It decodes every
 // instruction on every step, which makes it the slowest backend but also
-// the simplest — it is the oracle the differential tests hold every
-// other engine against.
+// the simplest — it is the oracle the differential tests hold the
+// compiled engine against.
 type InterpEngine struct{}
 
 // Name implements Engine.

@@ -8,6 +8,7 @@ package mcode_test
 // node without perturbing the simulation's virtual time.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -114,7 +115,7 @@ func overflowModule() *ir.Module {
 
 // partialStoresModule is one long straight-line block of stores: a
 // MaxSteps limit landing in its middle used to be the documented
-// block-granularity divergence (the closure engine refused the whole
+// block-granularity divergence (the compiled engine refused the whole
 // block). The exact-abort fix must leave the in-budget prefix's stores
 // in memory and its per-instruction counters charged, like the oracle.
 func partialStoresModule() *ir.Module {
@@ -194,28 +195,122 @@ func diffCases(t *testing.T) []diffCase {
 	}
 }
 
-// enginesUnderTest is every non-oracle engine configuration the
-// differential suite holds against the interpreter: the closure backend,
-// the cold adaptive tier (below threshold, interpreting) and a hot
-// adaptive tier (threshold 1, promoted to closures before the first
-// run).
-func enginesUnderTest() []struct {
+// lifecycle is the machine state a differential execution starts from.
+// The runtime prepares one artifact per module and node, shares it across
+// every registration's machine and keeps each machine across message
+// batches — including batches that ended in a fault or an ErrMaxSteps
+// abort — so every lifecycle must reproduce a fresh oracle machine.
+type lifecycle int
+
+const (
+	// freshMachine is a new machine on a freshly prepared artifact.
+	freshMachine lifecycle = iota
+	// sharedArtifact is a new machine on an artifact that another machine,
+	// with its own memory and extern stubs, has already run the case on.
+	sharedArtifact
+	// reusedAfterAbort is a machine that first ran the case under half the
+	// oracle's step count — so it aborted mid-execution, in a callee or
+	// loop where the case has one, or hit the case's own early fault —
+	// then was Reset.
+	reusedAfterAbort
+	// reusedAfterRun is a machine that first ran the case to its end, then
+	// was Reset: its frame and register pools are hot.
+	reusedAfterRun
+)
+
+// engineConfig is one engine and the lifecycle its machine starts from.
+type engineConfig struct {
 	label string
 	eng   mcode.Engine
-} {
-	return []struct {
-		label string
-		eng   mcode.Engine
-	}{
-		{"closure", mcode.ClosureEngine{}},
-		{"superblock", mcode.SuperblockEngine{}},
-		{"adaptive-cold", mcode.AdaptiveEngine{}},
-		{"adaptive-hot", mcode.AdaptiveEngine{Threshold: 1}},
+	life  lifecycle
+}
+
+// oracleConfig is the reference every differential row is held to.
+var oracleConfig = engineConfig{"interp", mcode.InterpEngine{}, freshMachine}
+
+// enginesUnderTest is every non-oracle configuration the differential
+// suites hold against the interpreter: the superblock backend in each
+// machine lifecycle. The labels of the non-fresh rows keep the row names
+// these suites have always reported — they once named the closure engine
+// and the cold and hot tiers of the adaptive engine, both retired — so a
+// row's results stay comparable across the suite's history. "closure" is
+// the shared closure artifact, "adaptive-cold" a machine reused after a
+// cut-off run and "adaptive-hot" a machine hot from a completed run.
+func enginesUnderTest() []engineConfig {
+	sb := mcode.SuperblockEngine{}
+	return []engineConfig{
+		{"closure", sb, sharedArtifact},
+		{"superblock", sb, freshMachine},
+		{"adaptive-cold", sb, reusedAfterAbort},
+		{"adaptive-hot", sb, reusedAfterRun},
 	}
 }
 
-// runOn executes one case on one engine, returning everything observable.
-func runOn(t *testing.T, eng mcode.Engine, tc diffCase, march *isa.MicroArch) (ir.ExecResult, [isa.NumOps]uint64, *stubCalls, []byte, error) {
+// diffLimits are the execution limits of every differential run of tc.
+func diffLimits(tc diffCase) ir.ExecLimits {
+	return ir.ExecLimits{MaxSteps: tc.limit, StackBase: 32 << 10, StackSize: 16 << 10}
+}
+
+// newDiffMachine builds the machine ec runs tc on, over env (already set
+// up) with extern calls logged to calls. Whatever ran before the measured
+// execution leaves env's memory and the call log as it found them.
+func newDiffMachine(t *testing.T, ec engineConfig, tc diffCase, cm *mcode.CompiledModule, env *ir.SimpleEnv, calls *stubCalls) *mcode.Machine {
+	t.Helper()
+	art, err := ec.eng.Prepare(cm)
+	if err != nil {
+		t.Fatalf("%s: prepare: %v", tc.name, err)
+	}
+	if ec.life == sharedArtifact {
+		other := ir.NewSimpleEnv(1 << 16)
+		if tc.setup != nil {
+			tc.setup(other)
+		}
+		om, err := mcode.NewMachineArt(art, other, diffLink(cm, other, &stubCalls{}), diffLimits(tc))
+		if err != nil {
+			t.Fatalf("%s: machine: %v", tc.name, err)
+		}
+		om.Run(tc.entry, tc.args...) // faulting cases fault here too
+	}
+	ma, err := mcode.NewMachineArt(art, env, diffLink(cm, env, calls), diffLimits(tc))
+	if err != nil {
+		t.Fatalf("%s: machine: %v", tc.name, err)
+	}
+	if ec.life == reusedAfterAbort || ec.life == reusedAfterRun {
+		mem := append([]byte(nil), env.Memory...)
+		lim := ma.Limits
+		if ec.life == reusedAfterAbort {
+			ma.Limits.MaxSteps = max(oracleSteps(t, tc, cm)/2, 1)
+		}
+		_, err := ma.Run(tc.entry, tc.args...)
+		if ec.life == reusedAfterAbort && err == nil {
+			t.Fatalf("%s: run cut off at half the oracle's steps did not abort", tc.name)
+		}
+		ma.Limits = lim
+		ma.Reset()
+		copy(env.Memory, mem)
+		calls.log = nil
+	}
+	return ma
+}
+
+// oracleSteps is the interpreter's step count for tc, fault or not.
+func oracleSteps(t *testing.T, tc diffCase, cm *mcode.CompiledModule) int64 {
+	t.Helper()
+	env := ir.NewSimpleEnv(1 << 16)
+	if tc.setup != nil {
+		tc.setup(env)
+	}
+	ma, err := mcode.NewMachineFor(mcode.InterpEngine{}, cm, env, diffLink(cm, env, &stubCalls{}), diffLimits(tc))
+	if err != nil {
+		t.Fatalf("%s: machine: %v", tc.name, err)
+	}
+	res, _ := ma.Run(tc.entry, tc.args...)
+	return res.Steps
+}
+
+// runOn executes one case in one configuration, returning everything
+// observable.
+func runOn(t *testing.T, ec engineConfig, tc diffCase, march *isa.MicroArch) (ir.ExecResult, [isa.NumOps]uint64, *stubCalls, []byte, error) {
 	t.Helper()
 	cm, err := mcode.Lower(tc.mod, march)
 	if err != nil {
@@ -226,19 +321,14 @@ func runOn(t *testing.T, eng mcode.Engine, tc diffCase, march *isa.MicroArch) (i
 		tc.setup(env)
 	}
 	calls := &stubCalls{}
-	ma, err := mcode.NewMachineFor(eng, cm, env, diffLink(cm, env, calls), ir.ExecLimits{
-		MaxSteps: tc.limit, StackBase: 32 << 10, StackSize: 16 << 10,
-	})
-	if err != nil {
-		t.Fatalf("%s: machine: %v", tc.name, err)
-	}
+	ma := newDiffMachine(t, ec, tc, cm, env, calls)
 	res, runErr := ma.Run(tc.entry, tc.args...)
 	return res, ma.Counts, calls, env.Memory, runErr
 }
 
 // TestEngineDifferential holds every engine to the interpreter's
 // observable behavior across the kernel corpus on all three paper
-// µarchs — including ErrMaxSteps aborts, where the closure engine's
+// µarchs — including ErrMaxSteps aborts, where the compiled engine's
 // exact-abort fallback must reproduce the oracle's partial-block side
 // effects and counters bit for bit.
 func TestEngineDifferential(t *testing.T) {
@@ -247,8 +337,8 @@ func TestEngineDifferential(t *testing.T) {
 		for _, ec := range enginesUnderTest() {
 			for _, tc := range diffCases(t) {
 				t.Run(march.Name+"/"+ec.label+"/"+tc.name, func(t *testing.T) {
-					ref, refCounts, refCalls, refMem, refErr := runOn(t, mcode.InterpEngine{}, tc, march)
-					got, gotCounts, gotCalls, gotMem, gotErr := runOn(t, ec.eng, tc, march)
+					ref, refCounts, refCalls, refMem, refErr := runOn(t, oracleConfig, tc, march)
+					got, gotCounts, gotCalls, gotMem, gotErr := runOn(t, ec, tc, march)
 
 					if (refErr == nil) != (gotErr == nil) {
 						t.Fatalf("error mismatch: interp=%v %s=%v", refErr, ec.label, gotErr)
@@ -280,9 +370,10 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// batchOn executes one case as a RunBatch of size n on one engine,
-// returning per-element results plus the batch-cumulative observables.
-func batchOn(t *testing.T, eng mcode.Engine, tc diffCase, march *isa.MicroArch, n int) ([]mcode.BatchResult, [isa.NumOps]uint64, *stubCalls, []byte) {
+// batchOn executes one case as a RunBatch of size n in one
+// configuration, returning per-element results plus the batch-cumulative
+// observables.
+func batchOn(t *testing.T, ec engineConfig, tc diffCase, march *isa.MicroArch, n int) ([]mcode.BatchResult, [isa.NumOps]uint64, *stubCalls, []byte) {
 	t.Helper()
 	cm, err := mcode.Lower(tc.mod, march)
 	if err != nil {
@@ -293,12 +384,7 @@ func batchOn(t *testing.T, eng mcode.Engine, tc diffCase, march *isa.MicroArch, 
 		tc.setup(env)
 	}
 	calls := &stubCalls{}
-	ma, err := mcode.NewMachineFor(eng, cm, env, diffLink(cm, env, calls), ir.ExecLimits{
-		MaxSteps: tc.limit, StackBase: 32 << 10, StackSize: 16 << 10,
-	})
-	if err != nil {
-		t.Fatalf("%s: machine: %v", tc.name, err)
-	}
+	ma := newDiffMachine(t, ec, tc, cm, env, calls)
 	argvs := make([][]uint64, n)
 	for i := range argvs {
 		argvs[i] = tc.args
@@ -320,10 +406,7 @@ func batchOn(t *testing.T, eng mcode.Engine, tc diffCase, march *isa.MicroArch, 
 func TestEngineBatchDifferential(t *testing.T) {
 	const batchN = 4
 	marchs := []*isa.MicroArch{isa.XeonE5(), isa.A64FX(), isa.CortexA72()}
-	allEngines := append([]struct {
-		label string
-		eng   mcode.Engine
-	}{{"interp", mcode.InterpEngine{}}}, enginesUnderTest()...)
+	allEngines := append([]engineConfig{oracleConfig}, enginesUnderTest()...)
 	for _, march := range marchs {
 		for _, ec := range allEngines {
 			for _, tc := range diffCases(t) {
@@ -339,9 +422,7 @@ func TestEngineBatchDifferential(t *testing.T) {
 						tc.setup(env)
 					}
 					seqCalls := &stubCalls{}
-					ma, err := mcode.NewMachineFor(mcode.InterpEngine{}, cm, env, diffLink(cm, env, seqCalls), ir.ExecLimits{
-						MaxSteps: tc.limit, StackBase: 32 << 10, StackSize: 16 << 10,
-					})
+					ma, err := mcode.NewMachineFor(mcode.InterpEngine{}, cm, env, diffLink(cm, env, seqCalls), diffLimits(tc))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -356,7 +437,7 @@ func TestEngineBatchDifferential(t *testing.T) {
 						}
 					}
 
-					got, gotCounts, gotCalls, gotMem := batchOn(t, ec.eng, tc, march, batchN)
+					got, gotCounts, gotCalls, gotMem := batchOn(t, ec, tc, march, batchN)
 					for i := range seq {
 						if (seq[i].Err == nil) != (got[i].Err == nil) ||
 							(seq[i].Err != nil && seq[i].Err.Error() != got[i].Err.Error()) {
@@ -401,30 +482,60 @@ func TestEngineByName(t *testing.T) {
 	if e, err := mcode.EngineByName(""); err != nil || e.Name() != mcode.DefaultEngine.Name() {
 		t.Fatalf("empty name should resolve to the default engine, got %v/%v", e, err)
 	}
-	if _, err := mcode.EngineByName("nope"); err == nil {
-		t.Fatal("unknown engine name should error")
+	// "closure" and "adaptive" are retired engines: a config still
+	// naming them must fail loudly, not fall back to a default.
+	for _, name := range []string{"nope", "closure", "adaptive"} {
+		if _, err := mcode.EngineByName(name); err == nil {
+			t.Fatalf("unknown engine name %q should error", name)
+		}
 	}
 }
 
 // TestEngineMachineReuseAllocFree asserts the acceptance criterion that a
 // warm, reused machine executes without per-message heap allocation —
 // the property Runtime.execute relies on after switching to
-// per-registration machines.
+// per-registration machines. Besides a machine per engine, it covers the
+// superblock machine lifecycles of the differential suites: "closure" is
+// a second machine on a closure artifact another machine already runs,
+// "adaptive" a machine whose previous run was cut off by its step budget.
 func TestEngineMachineReuseAllocFree(t *testing.T) {
-	// The adaptive engine uses threshold 1 so promotion (a one-time
-	// compile) happens during warm-up, outside the measured window.
-	for _, eng := range []mcode.Engine{mcode.ClosureEngine{}, mcode.SuperblockEngine{}, mcode.InterpEngine{}, mcode.AdaptiveEngine{Threshold: 1}} {
-		t.Run(eng.Name(), func(t *testing.T) {
+	for _, ec := range []engineConfig{
+		{"closure", mcode.SuperblockEngine{}, sharedArtifact},
+		{"superblock", mcode.SuperblockEngine{}, freshMachine},
+		{"interp", mcode.InterpEngine{}, freshMachine},
+		{"adaptive", mcode.SuperblockEngine{}, reusedAfterAbort},
+	} {
+		t.Run(ec.label, func(t *testing.T) {
 			cm, err := mcode.Lower(core.BuildTSI(), isa.XeonE5())
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := ir.NewSimpleEnv(1 << 14)
-			ma, err := mcode.NewMachineFor(eng, cm, env, mcode.NewLinkage(cm), ir.ExecLimits{
-				StackBase: 8 << 10, StackSize: 4 << 10,
-			})
+			art, err := ec.eng.Prepare(cm)
 			if err != nil {
 				t.Fatal(err)
+			}
+			lim := ir.ExecLimits{StackBase: 8 << 10, StackSize: 4 << 10}
+			newMachine := func() *mcode.Machine {
+				env := ir.NewSimpleEnv(1 << 14)
+				ma, err := mcode.NewMachineArt(art, env, mcode.NewLinkage(cm), lim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ma
+			}
+			ma := newMachine()
+			if ec.life == sharedArtifact {
+				if _, err := ma.Run("main", 0, 1, 64); err != nil {
+					t.Fatal(err)
+				}
+				ma = newMachine()
+			}
+			if ec.life == reusedAfterAbort {
+				ma.Limits.MaxSteps = 1
+				if _, err := ma.Run("main", 0, 1, 64); !errors.Is(err, ir.ErrMaxSteps) {
+					t.Fatalf("run cut off after one step: err = %v, want ErrMaxSteps", err)
+				}
+				ma.Limits.MaxSteps = ir.DefaultMaxSteps
 			}
 			run := func() {
 				ma.Reset()
@@ -434,7 +545,7 @@ func TestEngineMachineReuseAllocFree(t *testing.T) {
 			}
 			run() // warm the register-file and frame pools
 			if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
-				t.Errorf("warm %s machine allocates %.1f objects per execution, want 0", eng.Name(), allocs)
+				t.Errorf("warm %s machine allocates %.1f objects per execution, want 0", ec.label, allocs)
 			}
 		})
 	}
@@ -453,7 +564,7 @@ func TestEnginePastEndBranch(t *testing.T) {
 		}},
 	}
 	var errs []string
-	for _, eng := range []mcode.Engine{mcode.InterpEngine{}, mcode.ClosureEngine{}, mcode.SuperblockEngine{}} {
+	for _, eng := range []mcode.Engine{mcode.InterpEngine{}, mcode.SuperblockEngine{}} {
 		env := ir.NewSimpleEnv(1 << 12)
 		ma, err := mcode.NewMachineFor(eng, cm, env, nil, ir.ExecLimits{})
 		if err != nil {

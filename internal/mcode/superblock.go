@@ -8,14 +8,13 @@ import (
 	"threechains/internal/isa"
 )
 
-// SuperblockEngine is the superblock-compiled execution backend: it
-// shares the closure engine's artifact, frame-pool and trampoline
-// machinery (closure.go) but compiles each basic block as the head of an
-// *extended basic block* — the maximal chain of blocks reachable through
-// unconditional jumps and fallthroughs — flattened into one closure chain
-// with one step pre-charge and one static count delta per traversal.
-// Three things make it faster than the plain closure engine on loop-heavy
-// kernels:
+// SuperblockEngine is the compiled execution backend and the default
+// engine. Its artifact, frame-pool and trampoline machinery live in
+// closure.go; this file forms the regions and fuses them. Each basic
+// block is compiled as the head of an *extended basic block* — the
+// maximal chain of blocks reachable through unconditional jumps and
+// fallthroughs — flattened into one closure chain with one step
+// pre-charge and one static count delta per traversal:
 //
 //   - Merging: a chain A -jmp-> B -jmp-> C costs one trampoline round
 //     trip instead of three; the linking jumps are charged (step + branch
@@ -25,8 +24,7 @@ import (
 //     (a self-loop after merging, e.g. sumloop's body+head) iterates in a
 //     Go loop inside one closure call, with per-traversal step/budget
 //     accounting inlined — no trampoline until the loop exits.
-//   - Widened superinstruction fusion: beyond the closure engine's
-//     const+add/sub[+store] set, superblock chains fuse load+op[+store]
+//   - Superinstruction fusion: const+add/sub[+store], load+op[+store]
 //     (including the same-address read-modify-write shape of the TSI
 //     kernel), store-to-load forwarding across the merge seam,
 //     compare+branch tails and the counted-loop back-edge
@@ -36,18 +34,17 @@ import (
 //     architectural register is still written, so machine state at region
 //     boundaries (and at the interpreter hand-off) stays oracle-exact.
 //
-// Accounting exactness is inherited from the closure engine contract:
-// steps are pre-charged per region (per traversal for native loops), and
-// when a pre-charge would blow the MaxSteps budget the charge is refunded
-// and the activation replays from the region's first pc on the reference
-// interpreter — the merged region is contiguous in control flow, so the
-// replay follows the exact same path with per-instruction accounting.
-// Faults inside fused closures restore exact counters through the same
-// faultFix mechanism, positioned at the faulting instruction's region
-// offset. The differential tests (engine_test.go, superblock_test.go)
-// hold all of this to bit-identical results, op counts, steps, errors and
-// memory against the interpreter, including ErrMaxSteps aborts landing
-// mid-superblock and mid-native-loop.
+// Accounting is exact: steps are pre-charged per region (per traversal
+// for native loops), and when a pre-charge would blow the MaxSteps budget
+// the charge is refunded and the activation replays from the region's
+// first pc on the reference interpreter — the merged region is contiguous
+// in control flow, so the replay follows the exact same path with
+// per-instruction accounting. Faults inside fused closures restore exact
+// counters through the faultFix mechanism, positioned at the faulting
+// instruction's region offset. The differential tests (engine_test.go,
+// superblock_test.go) hold all of this to bit-identical results, op
+// counts, steps, errors and memory against the interpreter, including
+// ErrMaxSteps aborts landing mid-superblock and mid-native-loop.
 type SuperblockEngine struct{}
 
 // Name implements Engine.
@@ -55,7 +52,7 @@ func (SuperblockEngine) Name() string { return EngineNameSuperblock }
 
 // Prepare implements Engine.
 func (SuperblockEngine) Prepare(cm *CompiledModule) (Artifact, error) {
-	return prepareClosureArtifact(cm, true)
+	return prepareClosureArtifact(cm)
 }
 
 // Superblock formation limits. Every leader roots its own maximal region
@@ -77,7 +74,7 @@ var loopBack = &cblock{}
 // actually happened on the corpus they pin.
 func SuperblockStats(art Artifact) (merged, loops int, ok bool) {
 	a, isClosure := art.(*closureArtifact)
-	if !isClosure || !a.super {
+	if !isClosure {
 		return 0, 0, false
 	}
 	return a.merged, a.loops, true
@@ -356,7 +353,7 @@ func (a *closureArtifact) compileSuper(p *Program, b int, starts []int, blockOf 
 			chain[k] = c
 			continue
 		}
-		c, err := a.compileInstr(&code[flat[k].pc], chain[k+1], fxAt(k), elideAt(ff, flat[k].pc))
+		c, err := a.compileInstr(&code[flat[k].pc], chain[k+1], fxAt(k), ff.BoundsProven(flat[k].pc))
 		if err != nil {
 			return blk, err
 		}
@@ -441,10 +438,9 @@ func (a *closureArtifact) compileSuper(p *Program, b int, starts []int, blockOf 
 
 // regionNoFault reports whether the verifier proved every instruction of
 // the region fault-free (FuncFacts.NoFault over all segments), licensing
-// the batched budget check of the native-loop wrapper. Gated on the same
-// ElideChecks escape hatch as the bounds elisions.
+// the batched budget check of the native-loop wrapper.
 func regionNoFault(ff *FuncFacts, segs [][2]int32) bool {
-	if !ElideChecks || ff == nil {
+	if ff == nil {
 		return false
 	}
 	for _, s := range segs {
@@ -488,7 +484,7 @@ func (a *closureArtifact) fuseSuper(code []MInstr, flat []rref, k, chainEnd int,
 		}
 		return i
 	}
-	el := func(i int) bool { return elideAt(ff, flat[i].pc) }
+	el := func(i int) bool { return ff.BoundsProven(flat[i].pc) }
 	in0 := &code[flat[k].pc]
 	p1 := nextExec(k)
 	if p1 >= chainEnd {
@@ -503,7 +499,7 @@ func (a *closureArtifact) fuseSuper(code []MInstr, flat []rref, k, chainEnd int,
 		}
 		return fuseLoadALU(in0, in1, chain[nextExec(p1)], fxAt(k), el(k))
 	}
-	// const + add/sub (+ store8) — the closure engine's original set.
+	// const + add/sub (+ store8).
 	if fusableConstALU(in0, in1) {
 		if p2 := nextExec(p1); p2 < chainEnd && fusableALUStore8(in1, &code[flat[p2].pc]) {
 			return fuseConstALUStore8(in0, in1, &code[flat[p2].pc], chain[nextExec(p2)], fxAt(p2), el(p2))
@@ -663,7 +659,7 @@ func (a *closureArtifact) fuseTail(code []MInstr, flat []rref, rtgt func(int32) 
 		}
 		return i
 	}
-	el := func(i int) bool { return elideAt(ff, flat[i].pc) }
+	el := func(i int) bool { return ff.BoundsProven(flat[i].pc) }
 	p1 := prevExec(S - 1)
 	if p1 < 0 {
 		return nil, 0

@@ -135,11 +135,10 @@ func fuzzObserve(t *testing.T, eng mcode.Engine, cm *mcode.CompiledModule, args 
 	return res, ma.Counts, env.Memory, runErr
 }
 
-// TestSuperblockFuzzDifferential holds the superblock (and, as a
-// cross-check, the closure) engine to the interpreter oracle on a corpus
-// of random programs, across the three paper µarchs, each at the
-// unlimited budget plus tight budgets chosen from the program's own step
-// count so aborts land inside merged regions.
+// TestSuperblockFuzzDifferential holds the superblock engine to the
+// interpreter oracle on a corpus of random programs, across the three
+// paper µarchs, each at the unlimited budget plus tight budgets chosen
+// from the program's own step count so aborts land inside merged regions.
 func TestSuperblockFuzzDifferential(t *testing.T) {
 	const programs = 40
 	r := rand.New(rand.NewSource(0x5eedb10c))
@@ -162,28 +161,23 @@ func TestSuperblockFuzzDifferential(t *testing.T) {
 				if limit != 0 {
 					want, wantCounts, wantMem, wantErr = fuzzObserve(t, mcode.InterpEngine{}, cm, args, limit)
 				}
-				for _, ec := range []struct {
-					label string
-					eng   mcode.Engine
-				}{{"superblock", mcode.SuperblockEngine{}}, {"closure", mcode.ClosureEngine{}}} {
-					got, gotCounts, gotMem, gotErr := fuzzObserve(t, ec.eng, cm, args, limit)
-					name := fmt.Sprintf("%s/%s/%s/limit=%d", mod.Name, march.Name, ec.label, limit)
-					if (wantErr == nil) != (gotErr == nil) ||
-						(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-						t.Fatalf("%s: error mismatch: interp=%v got=%v", name, wantErr, gotErr)
-					}
-					if got.Value != want.Value {
-						t.Fatalf("%s: value %#x, interp %#x", name, got.Value, want.Value)
-					}
-					if got.Steps != want.Steps {
-						t.Fatalf("%s: steps %d, interp %d", name, got.Steps, want.Steps)
-					}
-					if gotCounts != wantCounts {
-						t.Fatalf("%s: op counts diverge:\n got:    %v\n interp: %v", name, gotCounts, wantCounts)
-					}
-					if string(gotMem) != string(wantMem) {
-						t.Fatalf("%s: final memory images diverge", name)
-					}
+				got, gotCounts, gotMem, gotErr := fuzzObserve(t, mcode.SuperblockEngine{}, cm, args, limit)
+				name := fmt.Sprintf("%s/%s/superblock/limit=%d", mod.Name, march.Name, limit)
+				if (wantErr == nil) != (gotErr == nil) ||
+					(wantErr != nil && wantErr.Error() != gotErr.Error()) {
+					t.Fatalf("%s: error mismatch: interp=%v got=%v", name, wantErr, gotErr)
+				}
+				if got.Value != want.Value {
+					t.Fatalf("%s: value %#x, interp %#x", name, got.Value, want.Value)
+				}
+				if got.Steps != want.Steps {
+					t.Fatalf("%s: steps %d, interp %d", name, got.Steps, want.Steps)
+				}
+				if gotCounts != wantCounts {
+					t.Fatalf("%s: op counts diverge:\n got:    %v\n interp: %v", name, gotCounts, wantCounts)
+				}
+				if string(gotMem) != string(wantMem) {
+					t.Fatalf("%s: final memory images diverge", name)
 				}
 			}
 		}
@@ -317,8 +311,8 @@ func TestSuperblockFormation(t *testing.T) {
 	if merged == 0 || loops == 0 {
 		t.Fatalf("loop kernel formed merged=%d loops=%d, want both > 0", merged, loops)
 	}
-	if _, _, ok := mcode.SuperblockStats(mustPrepare(t, mcode.ClosureEngine{}, loopCM)); ok {
-		t.Fatal("SuperblockStats should reject closure artifacts")
+	if _, _, ok := mcode.SuperblockStats(mustPrepare(t, mcode.InterpEngine{}, loopCM)); ok {
+		t.Fatal("SuperblockStats should reject interpreter artifacts")
 	}
 
 	// TSI: the direct-runner shape must still satisfy the interpreter

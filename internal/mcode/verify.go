@@ -60,15 +60,6 @@ var (
 	ErrVerifyVector = fmt.Errorf("%w: vector", ErrVerify)
 )
 
-// ElideChecks lets the compiled engines drop runtime checks that the
-// static analysis proved redundant (in-bounds 8-byte accesses skip the
-// bounds test, fault-free self-loop regions batch their budget checks).
-// It is a host-performance knob only: with the flag on or off, every
-// simulated outcome — results, op counts, steps, abort accounting — is
-// bit-identical by the differential contract. Default on; the engine
-// benchmarks sweep it both ways to measure the elision win.
-var ElideChecks = true
-
 // maxVerifyRegs caps the per-function register file: the frame is
 // allocated NumRegs words per activation, so an absurd count is a memory
 // DoS, not a program.

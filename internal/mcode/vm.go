@@ -50,13 +50,13 @@ type Machine struct {
 
 	art Artifact
 	// closureArt devirtualizes art on the hot path when the artifact is
-	// closure-compiled (nil otherwise).
+	// superblock-compiled (nil for the interpreter).
 	closureArt *closureArtifact
 	steps      int64
 	sp         uint64
 
-	// Reusable per-activation resources: register files and closure-
-	// engine frames are recycled across Run calls and call depths, so a
+	// Reusable per-activation resources: register files and compiled-
+	// code frames are recycled across Run calls and call depths, so a
 	// warm machine executes without per-message heap allocation.
 	regPool   [][]uint64
 	framePool []*cframe
@@ -118,19 +118,10 @@ func (ma *Machine) Steps() int64 { return ma.steps }
 
 // EngineName reports which engine's artifact the machine executes.
 func (ma *Machine) EngineName() string {
-	switch art := ma.art.(type) {
-	case interpArtifact:
-		return EngineNameInterp
-	case *adaptiveArtifact:
-		return EngineNameAdaptive
-	case *closureArtifact:
-		if art.super {
-			return EngineNameSuperblock
-		}
-		return EngineNameClosure
-	default:
-		return EngineNameClosure
+	if ma.closureArt != nil {
+		return EngineNameSuperblock
 	}
+	return EngineNameInterp
 }
 
 // getRegs pops a zeroed register file of length n from the pool,
@@ -219,7 +210,7 @@ type BatchResult struct {
 // per-element results, steps and errors are bit-identical to sequential
 // execution while ma.Counts holds the batch total (counts are additive,
 // so the sum equals the sequence of per-message charges). Engines
-// implement the inner loop natively: the closure engine re-enters its
+// implement the inner loop natively: the superblock engine re-enters its
 // already-resolved block graph per element without re-walking setup; the
 // interpreter provides the oracle loop fallback.
 //
@@ -265,10 +256,10 @@ func (ma *Machine) exec(p *Program, args []uint64) (uint64, error) {
 
 // execFrom is the reference interpreter loop: it executes p from pc over
 // the provided register file until return, fault or step exhaustion. The
-// register layout is the one shared by every engine, which lets the
-// closure backend hand a partially executed activation to this loop (its
-// exact-abort path for MaxSteps) without any state translation. Stack
-// pointer save/restore is the caller's responsibility.
+// register layout is the one shared by both engines, which lets the
+// superblock backend hand a partially executed activation to this loop
+// (its exact-abort path for MaxSteps) without any state translation.
+// Stack pointer save/restore is the caller's responsibility.
 func (ma *Machine) execFrom(p *Program, regs []uint64, pc int32) (uint64, error) {
 	mem := ma.Env.Mem()
 	counts := &ma.Counts

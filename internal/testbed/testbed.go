@@ -51,11 +51,10 @@ type Profile struct {
 	// paper builds x86_64 + aarch64 archives).
 	Triples []isa.Triple
 	// Engine selects the execution backend for every node built from
-	// this profile, by mcode registry name ("superblock", "closure",
-	// "interp", "adaptive"; "" = the default superblock engine). The calibrated
-	// virtual-time numbers are engine-independent — every backend
-	// charges identical operation counts — so this knob only changes
-	// host wall-clock cost.
+	// this profile, by mcode registry name ("superblock" or "interp";
+	// "" = the default superblock engine). The calibrated virtual-time
+	// numbers are engine-independent — both backends charge identical
+	// operation counts — so this knob only changes host wall-clock cost.
 	Engine string
 }
 

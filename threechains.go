@@ -8,10 +8,9 @@
 //   - internal/ir, internal/passes, internal/bitcode — the portable IR,
 //     its optimizer and the (fat-)bitcode wire format (the LLVM analogue);
 //   - internal/mcode, internal/jit, internal/linker, internal/elfx — the
-//     per-µarch backend with pluggable execution engines (the reference
-//     switch interpreter, closure-compiled threaded code and the default
-//     superblock-compiled backend, selectable per node — see
-//     EngineSuperblock/EngineClosure/EngineInterp/EngineAdaptive),
+//     per-µarch backend with two execution engines (the default
+//     superblock-compiled backend and the reference switch interpreter,
+//     selectable per node — see EngineSuperblock/EngineInterp),
 //     ORC-style JIT sessions, remote dynamic linking and the ELF-like
 //     binary ifunc container;
 //   - internal/sim, internal/fabric, internal/ucx — the deterministic
@@ -57,27 +56,19 @@ import (
 // ifuncs through an execution engine chosen by name via NodeSpec.Engine
 // or Profile.Engine:
 //
-//   - EngineSuperblock (default): the closure backend with basic blocks
-//     merged into extended basic blocks (superblocks) at JIT time —
-//     unconditional chains flattened into one dispatch unit, loops run
-//     as native Go loops, and wide superinstruction fusion
-//     (load+op+store, read-modify-write kernels, counted-loop back
-//     edges) — so a whole loop iteration or a whole tiny message kernel
-//     costs a handful of indirect calls. The fast path for heavy
+//   - EngineSuperblock (default): the compiled backend. At JIT time each
+//     instruction becomes a Go closure with operands and branch targets
+//     resolved once, and basic blocks merge into extended basic blocks
+//     (superblocks) — unconditional chains flattened into one dispatch
+//     unit, loops run as native Go loops, and wide superinstruction
+//     fusion (load+op+store, read-modify-write kernels, counted-loop
+//     back edges) — so a whole loop iteration or a whole tiny message
+//     kernel costs a handful of indirect calls. The fast path for heavy
 //     per-message traffic.
-//   - EngineClosure: each instruction is pre-compiled into a Go closure
-//     at JIT time with operands and branch targets resolved once, so
-//     steady-state dispatch is a single indirect call per instruction.
 //   - EngineInterp: the reference switch interpreter — the semantic
-//     oracle every other engine is differentially tested against.
-//   - EngineAdaptive: starts every registration on the interpreter (zero
-//     prepare cost, right for types that execute a handful of times) and
-//     promotes it to the superblock artifact once observed traffic
-//     crosses the compile-amortization threshold — the per-node
-//     heterogeneous choice for clusters whose nodes see very different
-//     message rates.
+//     oracle the compiled engine is differentially tested against.
 //
-// All engines produce bit-identical results, operation counts and
+// Both engines produce bit-identical results, operation counts and
 // virtual-time charges, so simulated metrics never depend on the engine;
 // only host wall-clock speed does.
 //
@@ -89,9 +80,7 @@ import (
 // to reproduce the paper's one-message-per-poll runtime.
 const (
 	EngineSuperblock = mcode.EngineNameSuperblock
-	EngineClosure    = mcode.EngineNameClosure
 	EngineInterp     = mcode.EngineNameInterp
-	EngineAdaptive   = mcode.EngineNameAdaptive
 )
 
 // Core runtime types.
