@@ -114,25 +114,25 @@ type event struct {
 	tgt int32
 }
 
+// keyLess reports whether a orders before b by the (at, dom, seq) key.
+// Keys are unique (per-domain counters never repeat), so this is a
+// strict total order and insertion order never matters.
+func keyLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.dom != b.dom {
+		return a.dom < b.dom
+	}
+	return a.seq < b.seq
+}
+
 // eventHeap is a hand-rolled binary min-heap over the event array. The
 // standard container/heap would box every event into an interface{} on
-// Push/Pop — one heap allocation per scheduled event, which is the
-// dominant per-message host cost of the delivery pipeline. Storing events
-// by value in a reused backing array makes scheduling allocation-free in
-// steady state (the array is the event pool). Keys are unique (per-domain
-// counters never repeat), so heap order is a strict total order and
-// insertion order never matters — mailbox merges are order-insensitive.
+// Push/Pop, one heap allocation per scheduled event; storing events by
+// value in a reused backing array makes scheduling allocation-free in
+// steady state.
 type eventHeap []event
-
-func (h eventHeap) before(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].dom != h[j].dom {
-		return h[i].dom < h[j].dom
-	}
-	return h[i].seq < h[j].seq
-}
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
@@ -140,7 +140,7 @@ func (h *eventHeap) push(e event) {
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.before(i, p) {
+		if !keyLess(&s[i], &s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -160,10 +160,10 @@ func (h *eventHeap) pop() event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && s.before(l, min) {
+		if l < n && keyLess(&s[l], &s[min]) {
 			min = l
 		}
-		if r < n && s.before(r, min) {
+		if r < n && keyLess(&s[r], &s[min]) {
 			min = r
 		}
 		if min == i {
@@ -173,6 +173,84 @@ func (h *eventHeap) pop() event {
 		i = min
 	}
 	return top
+}
+
+// laneMinCap is the lane ring's first capacity; it doubles on demand.
+const laneMinCap = 16
+
+// eventQueue is one shard's pending events: a sorted FIFO lane in front
+// of the binary heap. Much of the traffic arrives in key order — a
+// node's burst of sends leaves its NIC at strictly rising times — and a
+// heap pays a full sift-down per pop for exactly that shape, because
+// each new event is the largest key it holds. push appends an event to
+// the lane when its key is above the lane's tail, so the lane stays
+// sorted; every other event goes to the heap. pop takes the smaller of
+// the lane head and the heap top. Dispatch order is the global key order
+// whatever order events are pushed in, so mailbox merges stay
+// order-insensitive. When nothing arrives in key order the lane costs
+// one key compare per push and per pop.
+//
+// The lane is a power-of-two ring that grows only when full, so its
+// capacity is bounded by twice its peak occupancy, not by the length of
+// the stream that passes through it. It is allocated on first use.
+type eventQueue struct {
+	lane []event // ring; live slots are [head, head+n) mod len(lane)
+	head int
+	n    int
+	heap eventHeap
+}
+
+func (q *eventQueue) len() int { return q.n + len(q.heap) }
+
+// laneFirst reports whether the lane head is the smallest pending event.
+func (q *eventQueue) laneFirst() bool {
+	return q.n > 0 && (len(q.heap) == 0 || keyLess(&q.lane[q.head], &q.heap[0]))
+}
+
+// peek returns the smallest pending event; the queue must not be empty.
+func (q *eventQueue) peek() *event {
+	if q.laneFirst() {
+		return &q.lane[q.head]
+	}
+	return &q.heap[0]
+}
+
+func (q *eventQueue) push(e event) {
+	if q.n == 0 || keyLess(&q.lane[(q.head+q.n-1)&(len(q.lane)-1)], &e) {
+		if q.n == len(q.lane) {
+			q.grow()
+		}
+		q.lane[(q.head+q.n)&(len(q.lane)-1)] = e
+		q.n++
+		return
+	}
+	q.heap.push(e)
+}
+
+// pop removes and returns the smallest pending event; the queue must
+// not be empty.
+func (q *eventQueue) pop() event {
+	if q.laneFirst() {
+		ev := q.lane[q.head]
+		q.lane[q.head] = event{} // release closure/signal refs while the slot is pooled
+		q.head = (q.head + 1) & (len(q.lane) - 1)
+		q.n--
+		return ev
+	}
+	return q.heap.pop()
+}
+
+// grow doubles the lane ring, unwrapping the live slots to the front.
+func (q *eventQueue) grow() {
+	c := 2 * len(q.lane)
+	if c == 0 {
+		c = laneMinCap
+	}
+	lane := make([]event, c)
+	k := copy(lane, q.lane[q.head:])
+	copy(lane[k:q.n], q.lane[:q.head])
+	q.lane = lane
+	q.head = 0
 }
 
 // shardState is one shard's private event queue and virtual clock. Only
@@ -188,7 +266,7 @@ type shardState struct {
 	// (EventKey). Zero outside dispatch.
 	curEvDom int32
 	curSeq   uint64
-	events   eventHeap
+	events   eventQueue
 	executed uint64
 	inboxMu  sync.Mutex
 	inbox    []event
@@ -196,10 +274,10 @@ type shardState struct {
 }
 
 func (sh *shardState) next() Time {
-	if len(sh.events) == 0 {
+	if sh.events.len() == 0 {
 		return timeMax
 	}
-	return sh.events[0].at
+	return sh.events.peek().at
 }
 
 // dispatch runs one popped event in this shard's context.
@@ -222,7 +300,7 @@ func (sh *shardState) dispatch(ev event) {
 // runWindow dispatches every event strictly below end, including events
 // the callbacks schedule into the same window.
 func (sh *shardState) runWindow(end Time) {
-	for len(sh.events) > 0 && sh.events[0].at < end {
+	for sh.events.len() > 0 && sh.events.peek().at < end {
 		sh.dispatch(sh.events.pop())
 	}
 	sh.curDom = HostDomain
@@ -481,29 +559,15 @@ func (e *Engine) AtDomainCall(tgt int, t Time, fn func(any), arg any) {
 }
 
 // minNextKey returns the shard holding the globally smallest pending
-// event by the full (at, dom, seq) key, or -1 when every heap is empty.
+// event by the full (at, dom, seq) key, or -1 when every queue is empty.
 func (g *group) minNextKey() int {
 	best := -1
 	for i := range g.shards {
-		h := g.shards[i].events
-		if len(h) == 0 {
+		q := &g.shards[i].events
+		if q.len() == 0 {
 			continue
 		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := g.shards[best].events[0]
-		c := h[0]
-		if c.at != b.at {
-			if c.at < b.at {
-				best = i
-			}
-		} else if c.dom != b.dom {
-			if c.dom < b.dom {
-				best = i
-			}
-		} else if c.seq < b.seq {
+		if best == -1 || keyLess(q.peek(), g.shards[best].events.peek()) {
 			best = i
 		}
 	}
@@ -517,7 +581,7 @@ func (e *Engine) Step() bool {
 	g := e.g
 	if len(g.shards) == 1 {
 		sh := &g.shards[0]
-		if len(sh.events) == 0 {
+		if sh.events.len() == 0 {
 			return false
 		}
 		sh.dispatch(sh.events.pop())
@@ -540,7 +604,7 @@ func (e *Engine) Run() {
 	g := e.g
 	if len(g.shards) == 1 {
 		sh := &g.shards[0]
-		for len(sh.events) > 0 {
+		for sh.events.len() > 0 {
 			sh.dispatch(sh.events.pop())
 		}
 		sh.curDom = HostDomain
@@ -569,8 +633,9 @@ func (g *group) normalizeClocks() {
 	}
 }
 
-// flushInboxes merges mailbox events into shard heaps at a barrier.
-// Heap keys are unique, so arrival order into the mailbox is irrelevant.
+// flushInboxes merges mailbox events into shard queues at a barrier.
+// Event keys are unique and the queue pops in key order whatever the
+// push order, so arrival order into the mailbox is irrelevant.
 func (g *group) flushInboxes() {
 	for i := range g.shards {
 		sh := &g.shards[i]
@@ -677,7 +742,7 @@ func (e *Engine) RunUntil(t Time) {
 	g := e.g
 	for {
 		best := g.minNextKey()
-		if best < 0 || g.shards[best].events[0].at > t {
+		if best < 0 || g.shards[best].events.peek().at > t {
 			break
 		}
 		sh := &g.shards[best]
@@ -696,7 +761,7 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) Pending() int {
 	n := 0
 	for i := range e.g.shards {
-		n += len(e.g.shards[i].events) + len(e.g.shards[i].inbox)
+		n += e.g.shards[i].events.len() + len(e.g.shards[i].inbox)
 	}
 	return n
 }

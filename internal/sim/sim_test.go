@@ -234,11 +234,11 @@ func TestTimeFormatting(t *testing.T) {
 }
 
 // TestScheduleAllocFree pins the event pool: scheduling and dispatching
-// events in steady state (heap backing array warm) allocates nothing —
-// events are stored by value in the reused heap array, with no
-// container/heap interface boxing, and AtFire/AfterFire signal fires
-// carry no closure. This is the per-message host cost ROADMAP names as
-// the dominant remaining delivery overhead.
+// events in steady state (queue storage warm) allocates nothing. Events
+// are stored by value in the reused heap array and lane ring, with no
+// container/heap interface boxing, and AtFire/AtCall events carry no
+// closure. The warm burst is the TSI stream shape: a monotone run of
+// sends through the lane with out-of-order pushes onto the heap.
 func TestScheduleAllocFree(t *testing.T) {
 	e := New()
 	fn := func() {}
@@ -257,6 +257,28 @@ func TestScheduleAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, cycle); allocs > 0 {
 		t.Errorf("warm schedule+dispatch allocates %.2f objects/op, want 0", allocs)
+	}
+
+	const burst = 512
+	fnA := func(any) {}
+	burstCycle := func() {
+		now := e.Now()
+		for i := 1; i <= burst; i++ {
+			e.AtCall(now+Time(i)*Nanosecond, fnA, nil)
+			if i%8 == 0 {
+				// Below the lane's tail: goes to the heap.
+				e.AtCall(now+Time(i/2)*Nanosecond+1, fnA, nil)
+			}
+		}
+		for e.Step() {
+		}
+	}
+	burstCycle()
+	if c := len(e.g.shards[0].events.lane); c < burst {
+		t.Fatalf("monotone burst left the lane ring at %d slots, want >= %d", c, burst)
+	}
+	if allocs := testing.AllocsPerRun(50, burstCycle); allocs > 0 {
+		t.Errorf("warm %d-event burst allocates %.2f objects/op, want 0", burst, allocs)
 	}
 }
 
