@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 
 	"threechains/internal/core"
 	"threechains/internal/ir"
@@ -459,6 +460,7 @@ func (pw *placementWorld) resultHash() uint64 {
 		base := pw.regions[i]
 		h.Write(rt.Node.Mem()[base : base+uint64(pw.w.RegionWords[i]*8)])
 	}
+	runtime.KeepAlive(pw) // node heaps are unmapped once the cluster is unreachable
 	return h.Sum64()
 }
 

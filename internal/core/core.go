@@ -108,12 +108,15 @@ func NewShardedCluster(params fabric.NetParams, nodes []NodeSpec, shards int, sh
 		c.Runtimes = append(c.Runtimes, rt)
 	}
 	// Out-of-band rkey exchange: every runtime learns every heap window
-	// (the bootstrap step a launcher like mpirun would perform).
+	// (the bootstrap step a launcher like mpirun would perform). The
+	// table is the same on every node and read-only afterwards, so the
+	// runtimes share one copy — N entries, not N².
+	keys := make([]ucx.RKey, len(c.Runtimes))
+	for j, peer := range c.Runtimes {
+		keys[j] = peer.heapKey
+	}
 	for _, r := range c.Runtimes {
-		r.heapKeys = make([]ucx.RKey, len(c.Runtimes))
-		for j, peer := range c.Runtimes {
-			r.heapKeys[j] = peer.heapKey
-		}
+		r.heapKeys = keys
 	}
 	return c
 }
@@ -123,6 +126,12 @@ func (c *Cluster) Runtime(i int) *Runtime { return c.Runtimes[i] }
 
 // Run drives the simulation until no events remain.
 func (c *Cluster) Run() { c.Eng.Run() }
+
+// Close releases the node heaps (fabric.Network.Close): idempotent, and
+// every runtime's Mem() is empty afterwards. The cluster must not be
+// running. Clusters dropped without Close release their heaps once the
+// collector finds them unreachable.
+func (c *Cluster) Close() { c.Net.Close() }
 
 // payloadArena is the per-runtime buffer messages' payloads are staged in
 // before invoking guest code (reused: execution is run-to-completion).
@@ -149,6 +158,11 @@ type Handle struct {
 	// each per-ISA object (binary kind).
 	archiveHash uint64
 	objectHash  map[isa.Arch]uint64
+	// archiveKey/objectKey are the matching JIT session cache keys
+	// (jit.HashKey of the hashes above), memoized for the planner's
+	// per-request registration-cost probe.
+	archiveKey string
+	objectKey  map[isa.Arch]string
 	// staticSeed memoizes the verifier's per-entry static minimum-step
 	// bound (mcode analysis MinSteps) for never-executed planning; -1
 	// marks entries with no usable bound. Computed lazily on first use —
@@ -294,6 +308,10 @@ type Runtime struct {
 	// node's puller-side staged entries (see region.go).
 	regionClock ifunc.RegionClock
 	regionCache map[regionKey]*regionEntry
+	// regionRefs counts the regionCache entries whose snapshot is each
+	// canonical store buffer (keyed by its first byte), so a replaced
+	// snapshot is released exactly when its last entry moves on.
+	regionRefs map[*byte]int
 
 	// ExecCostMultiplier scales guest execution cost on this node
 	// (default 1). The Julia DAPC mode uses it to model the unoptimized
@@ -675,6 +693,7 @@ func (r *Runtime) installHandle(h *Handle) {
 	}
 	if h.Kind == ifunc.KindBitcode {
 		h.archiveHash = ifunc.ContentHash(h.ArchiveBytes)
+		h.archiveKey = jit.HashKey(h.archiveHash)
 		h.ArchiveBytes = r.Store.Intern(h.archiveHash, ifunc.BlobCode, h.ArchiveBytes, 1)
 	} else {
 		// Arch order is sorted: interning can evict, and the eviction log
@@ -685,10 +704,12 @@ func (r *Runtime) installHandle(h *Handle) {
 		}
 		sort.Slice(archs, func(i, j int) bool { return archs[i] < archs[j] })
 		h.objectHash = make(map[isa.Arch]uint64, len(h.Objects))
+		h.objectKey = make(map[isa.Arch]string, len(h.Objects))
 		for _, arch := range archs {
 			obj := h.Objects[arch]
 			ch := ifunc.ContentHash(obj)
 			h.objectHash[arch] = ch
+			h.objectKey[arch] = jit.HashKey(ch)
 			h.Objects[arch] = r.Store.Intern(ch, ifunc.BlobCode, obj, 1)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"threechains/internal/fabric"
@@ -72,6 +73,7 @@ func TestTSIBitcodeEndToEnd(t *testing.T) {
 
 func readU64(r *Runtime, addr uint64) uint64 {
 	v, err := ir.LoadMem(r.Node.Mem(), addr, ir.I64)
+	runtime.KeepAlive(r) // node heaps are unmapped once r's cluster is unreachable
 	if err != nil {
 		panic(err)
 	}

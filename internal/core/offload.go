@@ -325,16 +325,12 @@ func (r *Runtime) buildRequest(dst int, h *Handle, entry uint16, payload []byte,
 // there at all — buildRequest marks the corresponding routes unviable
 // (ShipViable/PullViable), so the 0 returned here is never priced.
 func regCostOn(rt *Runtime, h *Handle) sim.Time {
-	var key string
-	switch h.Kind {
-	case ifunc.KindBitcode:
-		key = jit.CacheKey(h.ArchiveBytes)
-	case ifunc.KindBinary:
-		obj, ok := h.Objects[rt.Node.March.Triple.Arch]
-		if !ok {
+	key := h.archiveKey
+	if h.Kind == ifunc.KindBinary {
+		var ok bool
+		if key, ok = h.objectKey[rt.Node.March.Triple.Arch]; !ok {
 			return 0
 		}
-		key = jit.CacheKey(obj)
 	}
 	if _, ok := rt.Session.Lookup(key); ok {
 		return jit.LookupCost
@@ -555,6 +551,8 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 		ownerVer uint64
 		cached   *regionEntry
 		pinned   bool
+		pinHash  uint64
+		pinSnap  []byte
 		elide    bool
 		getSegs  []ucx.GetSeg
 	)
@@ -562,13 +560,14 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 		peer.regionClock.Track(opts.DataAddr, size)
 		ownerVer, _ = peer.regionClock.Version(opts.DataAddr, size)
 		if cached = r.regionEntryFor(dst, opts.DataAddr, size, true); cached != nil {
-			r.Store.Pin(cached.storeHash)
+			pinHash, pinSnap = cached.storeHash, cached.snapshot
+			r.Store.Pin(pinHash)
 			pinned = true
 			if cached.version == ownerVer {
 				elide = true
 			} else {
 				cur := peer.Node.Mem()[opts.DataAddr : opts.DataAddr+size]
-				getSegs = staleSegments(cached.snapshot, cur, cached.chunks)
+				getSegs = staleSegments(pinSnap, cur, cached.chunks)
 				switch {
 				case len(getSegs) == 0:
 					// Conservative version bump, nothing actually changed:
@@ -585,7 +584,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 
 	fail := func(st ucx.Status) {
 		if pinned {
-			r.Store.Unpin(cached.storeHash)
+			r.unpinSnapshot(pinHash, pinSnap)
 		}
 		r.releasePullSlot(slot)
 		r.LastExecErr = fmt.Errorf("core: offload pull %s: %v", h.Name, st)
@@ -614,7 +613,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 				r.regionCacheStore(dst, opts.DataAddr, size, preImg, ownerVer)
 			}
 			if pinned {
-				r.Store.Unpin(cached.storeHash)
+				r.unpinSnapshot(pinHash, pinSnap)
 			}
 			r.Node.ExecCPU(0, func() {
 				r.releasePullSlot(slot)
@@ -680,7 +679,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 			}
 		}
 		if pinned {
-			r.Store.Unpin(cached.storeHash)
+			r.unpinSnapshot(pinHash, pinSnap)
 		}
 		stamp := func(ps *sim.Signal) {
 			if newE != nil && ucx.Status(ps.Value()) == ucx.OK {
@@ -717,8 +716,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 			r.Trace.Instant(obs.TrackCore, "region-elide", r.eng().Now()).
 				Arg("bytes", size).Arg("dst", uint64(dst))
 		}
-		snap := cached.snapshot
-		r.Node.ExecCPU(regCost, func() { exec(snap) })
+		r.Node.ExecCPU(regCost, func() { exec(pinSnap) })
 	case getSegs != nil:
 		// Stale entry: fetch only the changed chunks, one vectored round
 		// trip, and scatter them over the cached snapshot.
@@ -738,7 +736,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 			}
 			r.Node.ExecCPU(regCost, func() {
 				preImg := make([]byte, size)
-				copy(preImg, cached.snapshot)
+				copy(preImg, pinSnap)
 				for _, s := range op.Segs {
 					copy(preImg[s.Off:], s.Data)
 				}

@@ -10,6 +10,7 @@ import (
 
 	"threechains/internal/ir"
 	"threechains/internal/isa"
+	"threechains/internal/jit"
 	"threechains/internal/place"
 	"threechains/internal/sim"
 	"threechains/internal/ucx"
@@ -577,4 +578,27 @@ func readLE(b []byte) uint64 {
 		v |= uint64(b[i]) << (8 * i)
 	}
 	return v
+}
+
+// TestHandleJITKeyMatchesCacheKey: the registration-cost probe keys the
+// JIT session from the handle's memoized content hashes; the keys must
+// be byte-identical to hashing the shipped bytes, or the probe would
+// price a cached type as a cold compile.
+func TestHandleJITKeyMatchesCacheKey(t *testing.T) {
+	c := twoNodes()
+	src := c.Runtime(0)
+	hb, err := src.RegisterBitcode("tsi", BuildTSI(), allTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hx, err := src.RegisterBinary("tsi-bin", BuildTSI(), []*isa.MicroArch{isa.XeonE5()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, want := hb.archiveKey, jit.CacheKey(hb.ArchiveBytes); k != want {
+		t.Fatalf("bitcode key %q, want %q", k, want)
+	}
+	if k, want := hx.objectKey[isa.ArchX86_64], jit.CacheKey(hx.Objects[isa.ArchX86_64]); k != want {
+		t.Fatalf("binary key %q, want %q", k, want)
+	}
 }

@@ -150,14 +150,17 @@ func staleSegments(snap, cur []byte, chunks []uint64) []ucx.GetSeg {
 // regionCacheStore interns snap (the bytes the owner's region holds, or
 // will hold once an in-flight write-back lands) as the cache entry for
 // (dst, addr, size). The snapshot enters the content store as an
-// unpinned BlobData blob: it
-// shares the StoreBudget LRU with code blobs and evicts like any other
-// cache tail — an evicted snapshot simply costs the next pull a full
-// GET. version 0 marks the entry provisional (write-back in flight);
-// the caller stamps the real owner version once it is known.
+// unpinned BlobData blob: it shares the StoreBudget LRU with code blobs
+// and evicts like any other cache tail — an evicted snapshot simply
+// costs the next pull a full GET. The snapshot it replaces is released
+// from the store once nothing else uses it (releaseSnapshot), so each
+// entry keeps one resident snapshot, not its whole history. version 0
+// marks the entry provisional (write-back in flight); the caller stamps
+// the real owner version once it is known.
 func (r *Runtime) regionCacheStore(dst int, addr, size uint64, snap []byte, version uint64) *regionEntry {
 	if r.regionCache == nil {
 		r.regionCache = make(map[regionKey]*regionEntry)
+		r.regionRefs = make(map[*byte]int)
 	}
 	k := regionKey{dst, addr, size}
 	e := r.regionCache[k]
@@ -165,10 +168,38 @@ func (r *Runtime) regionCacheStore(dst int, addr, size uint64, snap []byte, vers
 		e = &regionEntry{}
 		r.regionCache[k] = e
 	}
+	oldHash, old := e.storeHash, e.snapshot
 	h := ifunc.ContentHash(snap)
 	e.storeHash = h
 	e.snapshot = r.Store.Intern(h, ifunc.BlobData, snap, 0)
+	r.regionRefs[&e.snapshot[0]]++
 	e.chunks = ifunc.AppendChunkHashes(e.chunks[:0], e.snapshot)
 	e.version = version
+	if len(old) > 0 {
+		r.regionRefs[&old[0]]--
+		r.releaseSnapshot(oldHash, old)
+	}
 	return e
+}
+
+// unpinSnapshot ends an in-flight pull's pin on the snapshot it pinned —
+// hash and buffer as captured at Pin time, never re-read from the entry,
+// which the pull itself may have re-pointed at a newer snapshot — and
+// releases that snapshot if it was replaced meanwhile.
+func (r *Runtime) unpinSnapshot(hash uint64, snap []byte) {
+	r.Store.Unpin(hash)
+	r.releaseSnapshot(hash, snap)
+}
+
+// releaseSnapshot drops snap from the content store once no region entry
+// points at it (entries are counted per canonical buffer in regionRefs:
+// identical regions share one) and no pull pins it. Store.Release checks
+// the pins and that snap is still the canonical buffer under hash.
+func (r *Runtime) releaseSnapshot(hash uint64, snap []byte) {
+	p := &snap[0]
+	if r.regionRefs[p] > 0 {
+		return
+	}
+	delete(r.regionRefs, p)
+	r.Store.Release(hash, snap)
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"threechains/internal/ifunc"
@@ -88,6 +89,44 @@ func TestRegionCacheElidesRepeatPull(t *testing.T) {
 	if src.Stats.PullGetBytes != size || src.Stats.PullGetFullBytes != 3*size {
 		t.Fatalf("GET bytes %d/%d, want %d/%d",
 			src.Stats.PullGetBytes, src.Stats.PullGetFullBytes, size, 3*size)
+	}
+}
+
+// TestRegionCacheKeepsOneSnapshotPerEntry: five write-back pulls of one
+// region replace its staged snapshot five times. Each replaced snapshot
+// must leave the content store, unpinned, once its pull completes —
+// only the current one stays resident, and no pin outlives its pull.
+// (A pull used to unpin the entry's re-pointed hash rather than the one
+// it pinned, so every replaced snapshot stayed pinned forever, beyond
+// the reach of any StoreBudget.)
+func TestRegionCacheKeepsOneSnapshotPerEntry(t *testing.T) {
+	const size = 1024
+	c, src, dst, h, region := regionWorld(t, size)
+	opts := OffloadOpts{Policy: place.PolicyPullData, DataAddr: region, DataSize: size, WriteBack: true}
+	var snaps []uint64
+	for i := 1; i <= 5; i++ {
+		op := StreamOp{Dst: 1, H: h, Fn: "main", Payload: []byte{0}, Opts: opts}
+		if v := opValue(t, c, src, op); v != uint64(i) {
+			t.Fatalf("pull %d returned %d, want %d", i, v, i)
+		}
+		// Once the write-back has landed, the owner's region is exactly
+		// the snapshot this pull staged.
+		snaps = append(snaps, ifunc.ContentHash(dst.Node.Mem()[region:region+size]))
+	}
+	st := src.Store
+	for i, hs := range snaps {
+		if st.HasPinned(hs) {
+			t.Errorf("snapshot %d still pinned", i)
+		}
+		if resident := st.Contains(hs); resident != (i == len(snaps)-1) {
+			t.Errorf("snapshot %d resident = %v, want %v", i, resident, i == len(snaps)-1)
+		}
+	}
+	if len(src.regionRefs) != 1 {
+		t.Errorf("%d snapshot buffers referenced by region entries, want 1", len(src.regionRefs))
+	}
+	if src.Stats.RegionElides != 4 {
+		t.Errorf("elides = %d, want 4", src.Stats.RegionElides)
 	}
 }
 
@@ -230,6 +269,7 @@ func regionCacheScript(t *testing.T, engine string, disableCache bool) uint64 {
 		owner := c.Runtime(i + 1)
 		hs.Write(owner.Node.Mem()[regions[i] : regions[i]+sizes[i]])
 	}
+	runtime.KeepAlive(c) // node heaps are unmapped once c is unreachable
 	return hs.Sum64()
 }
 
@@ -520,6 +560,7 @@ func TestRegionCacheConcurrentStreams(t *testing.T) {
 			owner := c.Runtime(i + 1)
 			hs.Write(owner.Node.Mem()[regions[i] : regions[i]+sizes[i]])
 		}
+		runtime.KeepAlive(c) // node heaps are unmapped once c is unreachable
 		return hs.Sum64(), nil
 	}
 	seq, err := build(1)

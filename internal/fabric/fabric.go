@@ -16,10 +16,19 @@
 // index, where pointer-chase tables live, where ifunc message queues are
 // carved out. A bump allocator hands out regions; there is no free — the
 // simulation's working sets are small and bounded.
+//
+// On linux (outside race builds) each heap is an anonymous private
+// mapping rather than a Go slice: pages are backed only once touched, and
+// the collector neither counts nor scans them, so host memory follows
+// what the simulation writes, not node count × nominal heap size.
+// Network.Close unmaps the heaps; a network dropped without Close is
+// unmapped by a finalizer once it is unreachable. Either way no slice
+// returned by Node.Mem may outlive its network.
 package fabric
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"threechains/internal/isa"
@@ -171,6 +180,24 @@ type Network struct {
 	Params  NetParams
 	nodes   []*Node
 	msgPool sync.Pool
+	heaps   *heapSet // nil once closed
+}
+
+// heapSet owns a network's node heaps. It is a separate object reachable
+// only from its Network so that a finalizer on it runs once the Network
+// is unreachable; one on the Network itself never would, because every
+// Node points back at it. (runtime.AddCleanup would express this
+// directly but needs go1.24; the module targets go1.22.)
+type heapSet struct {
+	mems [][]byte
+}
+
+// release unmaps every heap in the set; calling it again is a no-op.
+func (hs *heapSet) release() {
+	for _, b := range hs.mems {
+		unmapHeap(b)
+	}
+	hs.mems = nil
 }
 
 // New creates an empty network on the engine. The wire's latency floor
@@ -180,9 +207,27 @@ type Network struct {
 // width.
 func New(eng *sim.Engine, params NetParams) *Network {
 	eng.ProposeLookahead(params.SendOverhead + params.BaseLatency)
-	nw := &Network{Eng: eng, Params: params}
+	nw := &Network{Eng: eng, Params: params, heaps: &heapSet{}}
 	nw.msgPool.New = func() any { return new(Message) }
+	runtime.SetFinalizer(nw.heaps, (*heapSet).release)
 	return nw
+}
+
+// Close releases the node heaps: every Mem() is empty afterwards and
+// remote reads and writes fail their bounds checks. Close is idempotent;
+// the network must not be running. Slices obtained from Mem() before
+// Close must not be used after it.
+func (nw *Network) Close() {
+	hs := nw.heaps
+	if hs == nil {
+		return
+	}
+	nw.heaps = nil
+	for _, n := range nw.nodes {
+		n.mem = nil
+	}
+	runtime.SetFinalizer(hs, nil)
+	hs.release()
 }
 
 func (nw *Network) allocMsg() *Message { return nw.msgPool.Get().(*Message) }
@@ -211,10 +256,11 @@ func (nw *Network) AddNode(name string, march *isa.MicroArch, memSize int) *Node
 		Name:      name,
 		March:     march,
 		net:       nw,
-		mem:       make([]byte, memSize),
+		mem:       mapHeap(memSize),
 		stackBase: uint64(memSize) - stack,
 		stackSize: stack,
 	}
+	nw.heaps.mems = append(nw.heaps.mems, n.mem)
 	n.eng = nw.Eng.Domain(n.ID)
 	nw.nodes = append(nw.nodes, n)
 	return n
@@ -226,7 +272,10 @@ func (nw *Network) AddNode(name string, march *isa.MicroArch, memSize int) *Node
 // root engine, or sharded runs would mis-key and mis-route events.
 func (n *Node) Eng() *sim.Engine { return n.eng }
 
-// Mem returns the node heap. IR pointers index this slice.
+// Mem returns the node heap. IR pointers index this slice. It is empty
+// once the network is closed, and a caller holding the slice must keep
+// the node (or its network) reachable while using it: an unreachable
+// network's heaps are unmapped.
 func (n *Node) Mem() []byte { return n.mem }
 
 // StackRegion returns the alloca arena bounds.

@@ -169,3 +169,24 @@ func TestWireTime(t *testing.T) {
 		t.Fatal("per-byte wire time")
 	}
 }
+
+func TestCloseReleasesHeapsIdempotently(t *testing.T) {
+	eng, nw, a, b := pair(t)
+	if err := a.WriteMem(64, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	nw.Close()
+	nw.Close()
+	for _, n := range []*Node{a, b} {
+		if len(n.Mem()) != 0 {
+			t.Fatalf("node %s: Mem() holds %d bytes after Close", n.Name, len(n.Mem()))
+		}
+	}
+	if err := a.WriteMem(64, []byte{7}); err == nil {
+		t.Fatal("write into a closed network accepted")
+	}
+	if _, err := b.ReadMem(0, 1); err == nil {
+		t.Fatal("read from a closed network accepted")
+	}
+	eng.Run()
+}

@@ -256,6 +256,26 @@ func (s *Store) Unpin(hash uint64) {
 	}
 }
 
+// Release drops a staged data snapshot the moment its last user lets go
+// of it, instead of leaving it to budget eviction: it removes the
+// BlobData blob under hash when nothing pins it and data is its
+// canonical buffer (pointer identity, as in region-entry liveness — a
+// collision copy or a re-interned successor is left alone). It reports
+// whether the blob was removed. A release is not an eviction: it is
+// neither counted in Stats nor logged.
+func (s *Store) Release(hash uint64, data []byte) bool {
+	bl, ok := s.blobs[hash]
+	if !ok || bl.kind != BlobData || bl.pins > 0 || len(data) == 0 ||
+		len(bl.data) != len(data) || &bl.data[0] != &data[0] {
+		return false
+	}
+	bl.dead = true
+	delete(s.blobs, hash)
+	s.bytes -= int64(len(bl.data))
+	s.compact()
+	return true
+}
+
 // Bytes returns currently resident bytes; MaxBytes the high-water mark.
 func (s *Store) Bytes() int64    { return s.bytes }
 func (s *Store) MaxBytes() int64 { return s.maxBytes }

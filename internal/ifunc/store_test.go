@@ -191,3 +191,38 @@ func TestStorePinnedBlobsSurviveBudget(t *testing.T) {
 		t.Fatal("unpinned churn not evicted")
 	}
 }
+
+// TestStoreReleaseOnlyUnpinnedCanonicalData: Release drops a data
+// snapshot only when nothing pins it and the caller holds its canonical
+// buffer; code blobs and stale buffers are left alone, and a release is
+// neither an eviction nor logged as one.
+func TestStoreReleaseOnlyUnpinnedCanonicalData(t *testing.T) {
+	s, _ := testStore()
+	snap := []byte("region snapshot")
+	h := ContentHash(snap)
+	c := s.Intern(h, BlobData, snap, 1)
+	if s.Release(h, snap) {
+		t.Fatal("released through a non-canonical buffer")
+	}
+	if s.Release(h, c) {
+		t.Fatal("released a pinned snapshot")
+	}
+	s.Unpin(h)
+	code := []byte("code archive")
+	hc := ContentHash(code)
+	if s.Release(hc, s.Intern(hc, BlobCode, code, 0)) {
+		t.Fatal("released a code blob")
+	}
+	if !s.Release(h, c) {
+		t.Fatal("unpinned canonical snapshot not released")
+	}
+	if s.Contains(h) || s.Bytes() != int64(len(code)) {
+		t.Fatalf("after release: resident=%v bytes=%d", s.Contains(h), s.Bytes())
+	}
+	if s.Stats.Evictions != 0 || s.EvictLogLen() != 0 {
+		t.Fatal("release counted as an eviction")
+	}
+	if s.Release(h, c) {
+		t.Fatal("second release of the same snapshot")
+	}
+}

@@ -209,9 +209,7 @@ func (ip *Interp) call(f *Func, args []uint64) (uint64, error) {
 					return 0, ErrStackOverflow
 				}
 				regs[in.Dst] = ip.sp
-				for i := ip.sp; i < ip.sp+size; i++ {
-					mem[i] = 0
-				}
+				clear(mem[ip.sp : ip.sp+size])
 				ip.sp += size
 			case OpLoad:
 				v, err := loadMem(mem, regs[in.A]+uint64(in.Imm), in.Ty)

@@ -100,8 +100,13 @@ func NewSession(march *isa.MicroArch, load *linker.Loader, alloc GlobalAllocator
 func CacheKey(bitcode []byte) string {
 	h := fnv.New64a()
 	h.Write(bitcode)
-	return fmt.Sprintf("bc-%016x", h.Sum64())
+	return HashKey(h.Sum64())
 }
+
+// HashKey is CacheKey for bytes whose 64-bit FNV-1a hash is already known
+// (ifunc.ContentHash computes the same value), so a caller holding a
+// memoized content hash derives the identical key without rehashing.
+func HashKey(contentHash uint64) string { return fmt.Sprintf("bc-%016x", contentHash) }
 
 // Lookup returns the cached artifact for a key, if present.
 func (s *Session) Lookup(key string) (*Compiled, bool) {

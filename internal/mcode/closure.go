@@ -923,10 +923,7 @@ func (a *closureArtifact) compileInstr(in *MInstr, next bclosure, fx *faultFix, 
 				return fx.fail(f, ir.ErrStackOverflow)
 			}
 			f.regs[d] = ma.sp
-			mem := f.mem
-			for i := ma.sp; i < ma.sp+size; i++ {
-				mem[i] = 0
-			}
+			clear(f.mem[ma.sp : ma.sp+size])
 			ma.sp += size
 			return next(f)
 		}, nil
@@ -1050,9 +1047,7 @@ func (a *closureArtifact) compileInstr(in *MInstr, next bclosure, fx *faultFix, 
 				return fx.fail(f, fmt.Errorf("%w: GOT slot %d (%s) not bound",
 					ir.ErrUnresolved, slot, got[slot].Sym))
 			}
-			argv := make([]uint64, cnt)
-			copy(argv, f.regs[base:base+cnt])
-			v, err := fn(argv)
+			v, err := fn(f.ma.externArgs(f.regs[base : base+cnt]))
 			if err != nil {
 				return fx.fail(f, err)
 			}

@@ -285,6 +285,43 @@ func TestExternCallThroughGOT(t *testing.T) {
 	}
 }
 
+// TestExternCallAllocFree: a warm machine calling an extern (with an
+// alloca in the frame) allocates nothing per execution on either engine
+// — extern arguments go through the machine's reusable buffer, the one
+// allocation the pointer-chase hop used to pay.
+func TestExternCallAllocFree(t *testing.T) {
+	m := ir.NewModule("ext")
+	b := ir.NewBuilder(m)
+	b.DeclareExtern("mul")
+	b.NewFunc("main", []ir.Type{ir.I64}, ir.I64)
+	slot := b.Alloca(16)
+	b.Store(ir.I64, b.Param(0), slot, 8)
+	b.Ret(b.Call("mul", true, b.Load(ir.I64, slot, 8), b.Const64(2)))
+	cm, err := Lower(m, isa.XeonE5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := ir.NewSimpleEnv(1 << 13)
+	env.Externs["mul"] = func(a []uint64) (uint64, error) { return a[0] * a[1], nil }
+	for _, name := range EngineNames() {
+		ma, err := NewMachineFor(MustEngine(name), cm, env, linkFor(t, cm, env),
+			ir.ExecLimits{StackBase: 4096, StackSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			ma.Reset()
+			if res, err := ma.Run("main", 21); err != nil || res.Value != 42 {
+				t.Fatalf("%s: got %d, %v; want 42", name, res.Value, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
+			t.Errorf("%s: warm extern call allocates %.1f objects per execution, want 0", name, allocs)
+		}
+	}
+}
+
 func TestUnlinkedModuleRefusesToRun(t *testing.T) {
 	m := ir.NewModule("unlinked")
 	b := ir.NewBuilder(m)

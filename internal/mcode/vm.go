@@ -7,7 +7,10 @@ import (
 	"threechains/internal/isa"
 )
 
-// ExternFunc is a resolved external function binding.
+// ExternFunc is a resolved external function binding. args is only
+// valid for the duration of the call: the machine reuses one argument
+// buffer for every extern call, so an implementation that needs the
+// values later must copy them.
 type ExternFunc func(args []uint64) (uint64, error)
 
 // Linkage is a fully patched GOT: one resolved value per GOT entry.
@@ -62,6 +65,7 @@ type Machine struct {
 	framePool []*cframe
 	depth     int
 	argbuf    []uint64
+	extArgs   []uint64 // extern-call argument buffer (see ExternFunc)
 
 	// Entry-lookup memo: Run calls overwhelmingly repeat one entry name.
 	lastFn string
@@ -156,6 +160,17 @@ func (ma *Machine) lookupEntry(fn string) (int, error) {
 	}
 	ma.lastFn, ma.lastFi = fn, fi
 	return fi, nil
+}
+
+// externArgs copies an extern call's arguments into the machine's reusable
+// extern argument buffer, keeping extern calls allocation-free.
+func (ma *Machine) externArgs(src []uint64) []uint64 {
+	if cap(ma.extArgs) < len(src) {
+		ma.extArgs = make([]uint64, len(src))
+	}
+	a := ma.extArgs[:len(src)]
+	copy(a, src)
+	return a
 }
 
 // Run executes the named function.
@@ -387,9 +402,7 @@ func (ma *Machine) execFrom(p *Program, regs []uint64, pc int32) (uint64, error)
 				return 0, ir.ErrStackOverflow
 			}
 			regs[in.Dst] = ma.sp
-			for i := ma.sp; i < ma.sp+size; i++ {
-				mem[i] = 0
-			}
+			clear(mem[ma.sp : ma.sp+size])
 			ma.sp += size
 		case MLoad:
 			counts[isa.OpLoad]++
@@ -468,9 +481,7 @@ func (ma *Machine) execFrom(p *Program, regs []uint64, pc int32) (uint64, error)
 				return 0, fmt.Errorf("%w: GOT slot %d (%s) not bound",
 					ir.ErrUnresolved, in.Target, ma.Mod.GOT[in.Target].Sym)
 			}
-			argv := make([]uint64, in.ArgCount)
-			copy(argv, regs[in.ArgBase:in.ArgBase+in.ArgCount])
-			v, err := fn(argv)
+			v, err := fn(ma.externArgs(regs[in.ArgBase : in.ArgBase+in.ArgCount]))
 			if err != nil {
 				return 0, err
 			}

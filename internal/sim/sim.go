@@ -127,51 +127,100 @@ func keyLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a hand-rolled binary min-heap over the event array. The
-// standard container/heap would box every event into an interface{} on
-// Push/Pop, one heap allocation per scheduled event; storing events by
-// value in a reused backing array makes scheduling allocation-free in
-// steady state.
-type eventHeap []event
+// eventHeap is a hand-rolled binary min-heap. The standard
+// container/heap would box every event into an interface{} on Push/Pop,
+// one heap allocation per scheduled event. Here the heap orders
+// heapEntry values — an event's key plus the slot of its body in a
+// reused slab — so a sift moves small pointer-free entries: no GC write
+// barriers while the collector is marking, and a third of the bytes of
+// a whole event. The body is written once on push and read once on pop.
+// Slab slots are recycled through a free list, so scheduling is
+// allocation-free in steady state.
+type eventHeap struct {
+	ents []heapEntry
+	slab []event
+	free []int32 // free slab slots
+}
+
+// heapEntry is one heap slot: the (at, dom, seq) key of the event whose
+// body sits in slab[slot].
+type heapEntry struct {
+	at   Time
+	seq  uint64
+	dom  int32
+	slot int32
+}
+
+// entryLess is keyLess over heap entries.
+func entryLess(a, b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.dom != b.dom {
+		return a.dom < b.dom
+	}
+	return a.seq < b.seq
+}
+
+func (h *eventHeap) len() int { return len(h.ents) }
+
+// top returns the smallest event; the heap must not be empty.
+func (h *eventHeap) top() *event { return &h.slab[h.ents[0].slot] }
 
 func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	s := *h
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = e
+	} else {
+		slot = int32(len(h.slab))
+		h.slab = append(h.slab, e)
+	}
+	x := heapEntry{at: e.at, seq: e.seq, dom: e.dom, slot: slot}
+	h.ents = append(h.ents, x)
+	s := h.ents
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !keyLess(&s[i], &s[p]) {
+		if !entryLess(&x, &s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = x
 }
 
 func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
+	s := h.ents
+	slot := s[0].slot
+	top := h.slab[slot]
+	h.slab[slot] = event{} // release closure/signal refs while the slot is pooled
+	h.free = append(h.free, slot)
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release closure/signal refs while the slot is pooled
+	x := s[n]
 	s = s[:n]
-	*h = s
+	h.ents = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && keyLess(&s[l], &s[min]) {
-			min = l
-		}
-		if r < n && keyLess(&s[r], &s[min]) {
-			min = r
-		}
-		if min == i {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		if r := m + 1; r < n && entryLess(&s[r], &s[m]) {
+			m = r
+		}
+		if !entryLess(&s[m], &x) {
+			break
+		}
+		s[i] = s[m]
+		i = m
 	}
+	s[i] = x
 	return top
 }
 
@@ -200,11 +249,11 @@ type eventQueue struct {
 	heap eventHeap
 }
 
-func (q *eventQueue) len() int { return q.n + len(q.heap) }
+func (q *eventQueue) len() int { return q.n + q.heap.len() }
 
 // laneFirst reports whether the lane head is the smallest pending event.
 func (q *eventQueue) laneFirst() bool {
-	return q.n > 0 && (len(q.heap) == 0 || keyLess(&q.lane[q.head], &q.heap[0]))
+	return q.n > 0 && (q.heap.len() == 0 || keyLess(&q.lane[q.head], q.heap.top()))
 }
 
 // peek returns the smallest pending event; the queue must not be empty.
@@ -212,7 +261,7 @@ func (q *eventQueue) peek() *event {
 	if q.laneFirst() {
 		return &q.lane[q.head]
 	}
-	return &q.heap[0]
+	return q.heap.top()
 }
 
 func (q *eventQueue) push(e event) {

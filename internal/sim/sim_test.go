@@ -235,7 +235,7 @@ func TestTimeFormatting(t *testing.T) {
 
 // TestScheduleAllocFree pins the event pool: scheduling and dispatching
 // events in steady state (queue storage warm) allocates nothing. Events
-// are stored by value in the reused heap array and lane ring, with no
+// are stored by value in the reused heap slab and lane ring, with no
 // container/heap interface boxing, and AtFire/AtCall events carry no
 // closure. The warm burst is the TSI stream shape: a monotone run of
 // sends through the lane with out-of-order pushes onto the heap.

@@ -39,6 +39,8 @@
 package threechains
 
 import (
+	"runtime"
+
 	"threechains/internal/bench"
 	"threechains/internal/core"
 	"threechains/internal/ir"
@@ -419,11 +421,15 @@ type (
 // StoreU64 writes an 8-byte little-endian value into a runtime's node
 // memory (setup helper for examples and applications).
 func StoreU64(rt *Runtime, addr, v uint64) error {
-	return ir.StoreMem(rt.Node.Mem(), addr, ir.I64, v)
+	err := ir.StoreMem(rt.Node.Mem(), addr, ir.I64, v)
+	runtime.KeepAlive(rt) // node heaps are unmapped once rt's cluster is unreachable
+	return err
 }
 
 // LoadU64 reads an 8-byte little-endian value from a runtime's node
 // memory.
 func LoadU64(rt *Runtime, addr uint64) (uint64, error) {
-	return ir.LoadMem(rt.Node.Mem(), addr, ir.I64)
+	v, err := ir.LoadMem(rt.Node.Mem(), addr, ir.I64)
+	runtime.KeepAlive(rt) // as in StoreU64
+	return v, err
 }
