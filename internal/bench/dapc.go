@@ -337,7 +337,7 @@ func RunDAPC(cfg DAPCConfig, mode DAPCMode) (DAPCResult, error) {
 		}
 		if cfg.DisableCache {
 			for _, rt := range w.cluster.Runtimes {
-				rt.DisableSendCache = true
+				rt.Cache = core.CacheNone
 			}
 		}
 	}

@@ -78,7 +78,9 @@ func runDedupFanin(p testbed.Profile, senders int, sharedName, disableCAS bool) 
 	for _, rt := range cl.Runtimes {
 		rt.Worker.AMDispatch = p.AMDispatch
 		rt.Worker.IfuncPoll = p.IfuncPoll
-		rt.DisableCAS = disableCAS
+		if disableCAS {
+			rt.Cache = core.CachePairwise
+		}
 	}
 	svc := cl.Runtime(0)
 	svc.TargetPtr = svc.Node.Alloc(8)

@@ -28,7 +28,7 @@ import (
 // RegionCachePoint is one cache mode's outcome on a repeat-pull scenario.
 type RegionCachePoint struct {
 	// Mode is "cache" (the region cache negotiating every pull) or
-	// "nocache" (DisableRegionCache: every pull GETs the whole region).
+	// "nocache" (core.CacheCAS: every pull GETs the whole region).
 	Mode string `json:"mode"`
 	// GetBytes is the total pull-route GET payload that actually crossed
 	// the wire (descriptors included); DemandBytes what the pulls asked
@@ -94,7 +94,9 @@ func runRegionCachePoint(p testbed.Profile, regionWords, dirtyWords, rounds int,
 	for _, rt := range cl.Runtimes {
 		rt.Worker.AMDispatch = p.AMDispatch
 		rt.Worker.IfuncPoll = p.IfuncPoll
-		rt.DisableRegionCache = disableCache
+		if disableCache {
+			rt.Cache = core.CacheCAS
+		}
 	}
 	drv, owner := cl.Runtime(0), cl.Runtime(1)
 	size := uint64(regionWords * 8)

@@ -153,7 +153,7 @@ func newTSIWorld(p testbed.Profile, mode TSIMode) (*tsiWorld, error) {
 	}
 	cl.Run()
 	if mode == TSIBitcodeUncached || mode == TSIBinaryUncached {
-		w.src.DisableSendCache = true
+		w.src.Cache = core.CacheNone
 	}
 	return w, nil
 }

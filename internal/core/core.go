@@ -282,26 +282,10 @@ type Runtime struct {
 	// to every ifunc entry invoked on this node (§III-A).
 	TargetPtr uint64
 
-	// DisableSendCache forces full frames on every send — the "uncached"
-	// benchmark mode of §V (code section transmitted every time while the
-	// receiver's JIT cache stays warm, exactly the paper's methodology).
-	DisableSendCache bool
-
-	// DisableCAS turns off the cluster-wide content-addressed
-	// negotiation, restoring the paper's strictly pairwise sent-cache
-	// protocol — the baseline the dedup sweep compares against, and the
-	// mode the DAPC paper-fidelity harness pins so its tables keep
-	// modeling the published protocol.
-	DisableCAS bool
-
-	// DisableRegionCache turns off the data-region cache on the pull
-	// route — no GET elision, no chunk-delta pulls, every pull a
-	// whole-region GET (the pre-cache behavior, and the baseline the
-	// regioncache sweep compares against). DisableCAS implies it: the
-	// region negotiation reads the owner through the same casPeer gate,
-	// so the pairwise-baseline mode stays free of every cluster-wide
-	// virtual-time peek.
-	DisableRegionCache bool
+	// Cache is how much of the caching protocol this runtime uses as a
+	// sender and puller (see CacheLevel); the zero value, CacheRegions,
+	// is every layer on.
+	Cache CacheLevel
 
 	// regionClock tracks owner-side version counters for regions served
 	// to pullers (lazily, from the first pull); regionCache holds this
@@ -325,16 +309,10 @@ type Runtime struct {
 	MaxSteps int64
 
 	handles map[string]*Handle
-	eps     []*ucx.Endpoint // lazily created endpoints per destination
 
-	// Zero-alloc send fast path: per-destination pools of frame buffers
-	// (recycled once the receiver is done with the bytes, via the
-	// per-destination release hook handed to ucx). Received code
-	// sections are deduplicated through Store (the content-addressed
-	// generalization of the old per-runtime interning table).
-	framePool   [][][]byte
-	frameRel    []ucx.FrameRelease
-	framePoolMu sync.Mutex
+	// links holds the per-destination send state (endpoint, frame-buffer
+	// pool, release hook), one pointer per node, each filled on first use.
+	links []*dstLink
 
 	heapKey  ucx.RKey   // this node's whole-heap window
 	heapKeys []ucx.RKey // everyone's windows (rkey exchange)
@@ -524,56 +502,53 @@ func (r *Runtime) allocGlobal(g ir.Global) uint64 {
 	return addr
 }
 
-// ep returns (creating lazily) the endpoint to node dst.
-func (r *Runtime) ep(dst int) *ucx.Endpoint {
-	if r.eps == nil {
-		r.eps = make([]*ucx.Endpoint, len(r.Cluster.Runtimes))
-	}
-	if r.eps[dst] == nil {
-		r.eps[dst] = r.Worker.Connect(r.Cluster.Runtimes[dst].Worker)
-	}
-	return r.eps[dst]
+// dstLink is a runtime's send state toward one destination: the ucx
+// endpoint and the zero-alloc send fast path's pool of frame buffers,
+// recycled once the receiver is done with the bytes through release
+// (memoized, so sends stay allocation-free). release runs on the
+// receiving runtime — under sharded execution that can be a different
+// shard's worker (a cross-shard quiet send), so the pool is
+// mutex-guarded. Pool order only decides which buffer is reused, never
+// any simulated outcome, so the cross-shard timing of releases cannot
+// perturb results.
+type dstLink struct {
+	ep      *ucx.Endpoint
+	release ucx.FrameRelease
+	mu      sync.Mutex
+	pool    [][]byte
 }
 
-// getFrameBuf pops a recycled frame buffer for destination dst (zero
-// length, capacity from its previous use), or nil when the pool is
-// empty — AppendBuild then allocates, and the buffer enters the pool
-// when the receiver releases it.
-func (r *Runtime) getFrameBuf(dst int) []byte {
-	if r.framePool == nil {
-		r.framePool = make([][][]byte, len(r.Cluster.Runtimes))
+// link returns (creating on first use) the send state toward node dst.
+func (r *Runtime) link(dst int) *dstLink {
+	if r.links == nil {
+		r.links = make([]*dstLink, len(r.Cluster.Runtimes))
 	}
-	r.framePoolMu.Lock()
-	p := r.framePool[dst]
-	if n := len(p); n > 0 {
-		b := p[n-1][:0]
-		r.framePool[dst] = p[:n-1]
-		r.framePoolMu.Unlock()
-		return b
-	}
-	r.framePoolMu.Unlock()
-	return nil
-}
-
-// frameRelease returns the (memoized, so sends stay allocation-free)
-// release hook that returns a frame buffer to dst's pool. It is invoked
-// by the receiving runtime once the frame bytes are dead — under sharded
-// execution that can be a different shard's worker (a cross-shard quiet
-// send), so the pool is mutex-guarded. Pool order only decides which
-// buffer is reused, never any simulated outcome, so the cross-shard
-// timing of releases cannot perturb results.
-func (r *Runtime) frameRelease(dst int) ucx.FrameRelease {
-	if r.frameRel == nil {
-		r.frameRel = make([]ucx.FrameRelease, len(r.Cluster.Runtimes))
-	}
-	if r.frameRel[dst] == nil {
-		r.frameRel[dst] = func(b []byte) {
-			r.framePoolMu.Lock()
-			r.framePool[dst] = append(r.framePool[dst], b)
-			r.framePoolMu.Unlock()
+	l := r.links[dst]
+	if l == nil {
+		l = &dstLink{ep: r.Worker.Connect(r.Cluster.Runtimes[dst].Worker)}
+		l.release = func(b []byte) {
+			l.mu.Lock()
+			l.pool = append(l.pool, b)
+			l.mu.Unlock()
 		}
+		r.links[dst] = l
 	}
-	return r.frameRel[dst]
+	return l
+}
+
+// frameBuf pops a recycled frame buffer (zero length, capacity from its
+// previous use), or nil when the pool is empty — the encoder then
+// allocates, and the buffer enters the pool when the receiver releases
+// it.
+func (l *dstLink) frameBuf() []byte {
+	l.mu.Lock()
+	var b []byte
+	if n := len(l.pool); n > 0 {
+		b = l.pool[n-1][:0]
+		l.pool = l.pool[:n-1]
+	}
+	l.mu.Unlock()
+	return b
 }
 
 // Mem implements ir.Env.
@@ -806,7 +781,8 @@ func (r *Runtime) Send(dst int, h *Handle, fn string, payload []byte) (*sim.Sign
 		return nil, err
 	}
 	r.Stats.IfuncsSent++
-	return r.ep(dst).SendIfuncPooled(frame, r.frameRelease(dst)), nil
+	l := r.link(dst)
+	return l.ep.SendIfuncPooled(frame, l.release), nil
 }
 
 // SendQuiet is Send without a transport-completion signal: the warm
@@ -823,94 +799,133 @@ func (r *Runtime) SendQuiet(dst int, h *Handle, fn string, payload []byte) error
 		return err
 	}
 	r.Stats.IfuncsSent++
-	r.ep(dst).SendIfuncQuiet(frame, r.frameRelease(dst))
+	l := r.link(dst)
+	l.ep.SendIfuncQuiet(frame, l.release)
 	return nil
 }
 
-// buildFrame encodes exactly the bytes the caching protocol transmits —
-// the truncated form for cache hits (the code section is never even
-// copied), the full frame otherwise — into a pooled per-destination
-// buffer. The warm cached path allocates nothing: the buffer cycles back
-// through the release hook once the receiver has consumed it.
+// CacheLevel orders how much of the caching protocol a runtime uses.
+// Each level adds one layer to the one below it:
 //
-// On a pairwise cold pair the cluster-wide negotiation consults the
-// destination's state directly (see casPeer): if the type is already
-// registered there (shipped by any peer, content matching), the frame
-// truncates exactly as a pairwise hit would; if only the *content* is
-// pinned there (same bytes under another type name), a hash-ref frame
-// ships the content hash instead of the code section. Either way the
-// pairwise cache is marked, so the cross-node read happens at most once
-// per (destination, type) and the warm path stays untouched.
-func (r *Runtime) buildFrame(dst int, h *Handle, entry uint16, payload []byte) ([]byte, error) {
-	if len(payload) > payloadArena {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadPayload, len(payload))
-	}
-	var code []byte
-	var ch uint64
-	switch h.Kind {
-	case ifunc.KindBitcode:
-		code, ch = h.ArchiveBytes, h.archiveHash
-	case ifunc.KindBinary:
-		arch := r.Cluster.Runtimes[dst].Node.March.Triple.Arch
-		obj, ok := h.Objects[arch]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s for %s", ErrNoBinary, h.Name, arch)
-		}
-		code, ch = obj, h.objectHash[arch]
-	}
-	r.seq++
-	hdr := ifunc.Header{
-		Kind: h.Kind, NameHash: h.Hash, Entry: entry,
-		SrcNode: uint16(r.Node.ID), Seq: r.seq,
-	}
-	buf := r.getFrameBuf(dst)
-	if r.Sent.Seen(dst, h.Hash) && !r.DisableSendCache {
-		r.Stats.TruncatedFrames++
-		if r.Trace != nil {
-			r.Trace.Instant(obs.TrackCore, "frame-trunc", r.eng().Now()).
-				Arg("payload", uint64(len(payload))).Arg("dst", uint64(dst))
-		}
-		return ifunc.AppendTruncated(buf, hdr, payload), nil
-	}
-	if !r.DisableSendCache && ch != 0 {
-		switch r.negotiate(dst, h.Hash, ch) {
-		case casTruncate:
-			r.Sent.Mark(dst, h.Hash)
-			r.Stats.TruncatedFrames++
-			r.Stats.CASTruncated++
-			if r.Trace != nil {
-				r.Trace.Instant(obs.TrackCore, "frame-trunc", r.eng().Now()).
-					Arg("payload", uint64(len(payload))).Arg("dst", uint64(dst))
-			}
-			return ifunc.AppendTruncated(buf, hdr, payload), nil
-		case casHashRef:
-			r.Sent.Mark(dst, h.Hash)
-			r.Stats.HashRefFrames++
-			if r.Trace != nil {
-				r.Trace.Instant(obs.TrackCore, "frame-hashref", r.eng().Now()).
-					Arg("payload", uint64(len(payload))).Arg("dst", uint64(dst))
-			}
-			return ifunc.AppendHashRef(buf, hdr, payload, ch, len(code)), nil
-		}
-	}
-	r.Sent.Mark(dst, h.Hash)
-	r.Stats.FullFrames++
-	r.Stats.ColdCodeBytes += uint64(len(code))
-	if r.Trace != nil {
-		r.Trace.Instant(obs.TrackCore, "frame-full", r.eng().Now()).
-			Arg("code", uint64(len(code))).Arg("dst", uint64(dst))
-	}
-	return ifunc.AppendBuild(buf, hdr, payload, code), nil
+//   - CacheNone: a full frame on every send — the "uncached" benchmark
+//     mode of §V (code section transmitted every time while the
+//     receiver's JIT cache stays warm, exactly the paper's methodology);
+//   - CachePairwise: the paper's per-(destination, type) sent-cache —
+//     truncated frames for pairs this sender has already shipped; the
+//     baseline the dedup sweep compares against;
+//   - CacheCAS: plus the cluster-wide content-addressed negotiation
+//     (negotiate) — truncated or hash-ref frames for pairs another peer
+//     already served;
+//   - CacheRegions: plus the data-region cache on the pull route (GET
+//     elision, chunk-delta pulls); below it every pull is a whole-region
+//     GET, the baseline the regioncache sweep compares against.
+//
+// The zero value is CacheRegions: every layer on. The region cache reads
+// its owner through the same peer gate as the code negotiation, so every
+// level below CacheCAS is free of cluster-wide virtual-time peeks.
+type CacheLevel int8
+
+// Cache levels, in increasing order.
+const (
+	CacheNone CacheLevel = iota - 3
+	CachePairwise
+	CacheCAS
+	CacheRegions
+)
+
+// frameDecision is one caching-protocol decision: the form a frame
+// travels in and whether the (destination, type) pair was cold in the
+// sender's pairwise cache (the encoder then marks it, and a truncation
+// on a cold pair was granted by the cluster-wide negotiation).
+type frameDecision struct {
+	form ifunc.FrameForm
+	cold bool
 }
 
-// casVerdict is the outcome of the cluster-wide have/want negotiation.
-type casVerdict uint8
+// frameForm is the caching protocol's one decision: the form this
+// runtime's next frame of type typeHash (code content contentHash) takes
+// to dst. Host sends, guest forwards and the planner's ship pricing all
+// ask it, and the ship route encodes the very decision the planner
+// priced, so priced bytes equal wire bytes by construction.
+//
+// Below CachePairwise every frame is full; otherwise a pairwise hit
+// truncates, and a cold pair with a known content hash asks the
+// destination (negotiate, which answers full below CacheCAS).
+func (r *Runtime) frameForm(dst int, typeHash, contentHash uint64) frameDecision {
+	switch {
+	case r.Cache < CachePairwise:
+		return frameDecision{ifunc.FormFull, true}
+	case r.Sent.Contains(dst, typeHash):
+		return frameDecision{ifunc.FormTruncated, false}
+	case contentHash == 0:
+		return frameDecision{ifunc.FormFull, true}
+	}
+	return frameDecision{r.negotiate(dst, typeHash, contentHash), true}
+}
 
-const (
-	casFull casVerdict = iota
-	casTruncate
-	casHashRef
-)
+// encodeFrame appends one frame in the decided form to a pooled buffer
+// for dst and records it: the pairwise mark for a cold pair, the frame
+// counters and the frame-* trace instant. Host sends, the offload ship
+// route and guest forwards all encode here. The truncated form never
+// even copies the code section; the warm cached path allocates nothing,
+// the buffer cycling back through the link's release hook once the
+// receiver has consumed it.
+func (r *Runtime) encodeFrame(dst int, hdr ifunc.Header, payload, code []byte, codeHash uint64, d frameDecision) []byte {
+	if d.cold {
+		r.Sent.Mark(dst, hdr.NameHash)
+	}
+	var inst, key string
+	var val uint64
+	switch d.form {
+	case ifunc.FormTruncated:
+		r.Stats.TruncatedFrames++
+		if d.cold {
+			r.Stats.CASTruncated++
+		}
+		inst, key, val = "frame-trunc", "payload", uint64(len(payload))
+	case ifunc.FormHashRef:
+		r.Stats.HashRefFrames++
+		inst, key, val = "frame-hashref", "payload", uint64(len(payload))
+	default:
+		r.Stats.FullFrames++
+		r.Stats.ColdCodeBytes += uint64(len(code))
+		inst, key, val = "frame-full", "code", uint64(len(code))
+	}
+	if r.Trace != nil {
+		r.Trace.Instant(obs.TrackCore, inst, r.eng().Now()).Arg(key, val).Arg("dst", uint64(dst))
+	}
+	r.seq++
+	hdr.SrcNode, hdr.Seq = uint16(r.Node.ID), r.seq
+	return ifunc.AppendFrame(r.link(dst).frameBuf(), d.form, hdr, payload, code, codeHash)
+}
+
+// buildFrame decides and encodes h's frame to dst (see frameForm).
+func (r *Runtime) buildFrame(dst int, h *Handle, entry uint16, payload []byte) ([]byte, error) {
+	code, ch, err := r.shipCode(dst, h, payload)
+	if err != nil {
+		return nil, err
+	}
+	hdr := ifunc.Header{Kind: h.Kind, NameHash: h.Hash, Entry: entry}
+	return r.encodeFrame(dst, hdr, payload, code, ch, r.frameForm(dst, h.Hash, ch)), nil
+}
+
+// shipCode returns the code section h ships to dst (the per-ISA object
+// for a binary handle) and its content hash, rejecting a payload the
+// receiver cannot stage.
+func (r *Runtime) shipCode(dst int, h *Handle, payload []byte) ([]byte, uint64, error) {
+	if len(payload) > payloadArena {
+		return nil, 0, fmt.Errorf("%w: %d bytes", ErrBadPayload, len(payload))
+	}
+	if h.Kind != ifunc.KindBinary {
+		return h.ArchiveBytes, h.archiveHash, nil
+	}
+	arch := r.Cluster.Runtimes[dst].Node.March.Triple.Arch
+	obj, ok := h.Objects[arch]
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: %s for %s", ErrNoBinary, h.Name, arch)
+	}
+	return obj, h.objectHash[arch], nil
+}
 
 // negotiate is the content-addressed have/want exchange for a pairwise
 // cold (dst, type) pair. In a real deployment this is a hash announce
@@ -918,39 +933,39 @@ const (
 // destination answers with its store state); in the simulation it is an
 // omniscient virtual-time read of the destination's registry and store,
 // the same gated pattern the placement planner's buildRequest uses. The
-// verdict:
+// answer:
 //
-//   - casTruncate: dst has the type registered with matching content —
+//   - FormTruncated: dst has the type registered with matching content —
 //     a plain truncated frame is decodable there.
-//   - casHashRef: dst's store holds the content *pinned* (a live
+//   - FormHashRef: dst's store holds the content *pinned* (a live
 //     registration or handle references it) under some other type — a
 //     hash-ref frame resolves locally at dst. Unpinned (evictable)
 //     residency deliberately does not count: eviction between the
 //     negotiation and the delivery would otherwise drop the message.
-//   - casFull: dst has neither; ship the code.
-func (r *Runtime) negotiate(dst int, typeHash, contentHash uint64) casVerdict {
+//   - FormFull: dst has neither (or casPeer forbids the read); ship the
+//     code.
+func (r *Runtime) negotiate(dst int, typeHash, contentHash uint64) ifunc.FrameForm {
 	peer := r.casPeer(dst)
 	if peer == nil {
-		return casFull
+		return ifunc.FormFull
 	}
 	if reg, ok := peer.Reg.Get(typeHash); ok && reg.CodeHash == contentHash {
-		return casTruncate
+		return ifunc.FormTruncated
 	}
 	if peer.Store.HasPinned(contentHash) {
-		return casHashRef
+		return ifunc.FormHashRef
 	}
-	return casFull
+	return ifunc.FormFull
 }
 
 // casPeer returns the destination runtime when the negotiation may read
-// it: always under single-heap execution, and only for same-partition
-// destinations under sharding (ScopeNodes, the same gate the planner's
-// registry scan uses — cross-shard state must never be read mid-run).
-// Out-of-scope destinations degrade to the pairwise protocol, keeping
-// sharded runs bit-identical at every shard count. DisableCAS pins the
-// pairwise baseline unconditionally.
+// it: from CacheCAS up, always under single-heap execution, and only for
+// same-partition destinations under sharding (ScopeNodes, the same gate
+// the planner's registry scan uses — cross-shard state must never be
+// read mid-run). Out-of-scope destinations degrade to the pairwise
+// protocol, keeping sharded runs bit-identical at every shard count.
 func (r *Runtime) casPeer(dst int) *Runtime {
-	if r.DisableCAS {
+	if r.Cache < CacheCAS {
 		return nil
 	}
 	if r.ScopeNodes != nil {
@@ -1532,15 +1547,16 @@ func (fl *batchFlush) run() {
 		r.Stats.GuestSends++
 		// Guest sends never observe transport completion; the quiet
 		// path skips the per-message completion signals entirely.
-		r.ep(ps.dst).SendIfuncQuiet(ps.frame, r.frameRelease(ps.dst))
+		l := r.link(ps.dst)
+		l.ep.SendIfuncQuiet(ps.frame, l.release)
 	}
 	for _, pa := range fl.ams {
 		r.Stats.IfuncsSent++
 		r.Stats.GuestSends++
-		r.ep(pa.dst).SendAM(uint32(fl.amID), uint64(pa.entry), pa.payload)
+		r.link(pa.dst).ep.SendAM(uint32(fl.amID), uint64(pa.entry), pa.payload)
 	}
 	for _, pp := range fl.puts {
-		r.ep(pp.dst).Put(pp.data, pp.addr, r.heapKeys[pp.dst])
+		r.link(pp.dst).ep.Put(pp.data, pp.addr, r.heapKeys[pp.dst])
 	}
 	for _, v := range fl.dones {
 		if r.completeSig != nil && !r.completeSig.Fired() {

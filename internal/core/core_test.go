@@ -95,7 +95,7 @@ func TestCachingProtocolFrameSizes(t *testing.T) {
 	}
 	c.Run()
 	firstBytes := src.Node.Stats.BytesSent
-	wantFull := uint64(ifunc.FullLen(1, len(h.ArchiveBytes)))
+	wantFull := uint64(ifunc.FrameLen(ifunc.FormFull, 1, len(h.ArchiveBytes)))
 	if firstBytes != wantFull {
 		t.Fatalf("first frame %d bytes, want %d", firstBytes, wantFull)
 	}

@@ -55,7 +55,7 @@ func (r *Runtime) installRuntimeLibs() {
 		if len(args) != 4 {
 			return 0, fmt.Errorf("core: %s needs 4 args, got %d", SymSendSelf, len(args))
 		}
-		return r.guestSendSelf(int(args[0]), uint16(args[1]), args[2], args[3])
+		return r.guestSendSelf(args[0], args[1], args[2], args[3])
 	}
 	// tc.complete(value): fire the node's completion signal (result
 	// delivery to a waiting client, e.g. DAPC's ReturnResult).
@@ -94,33 +94,36 @@ func (r *Runtime) installRuntimeLibs() {
 	}
 }
 
-// guestSendSelf implements tc.send_self: it rebuilds a frame for the
+// guestSendSelf implements tc.send_self: it encodes a frame for the
 // currently executing registration and buffers it for transmission at
-// execution completion. The sent-cache decides full vs truncated framing
-// exactly as for host-initiated sends; for binary ifuncs a destination of
-// a different ISA is unreachable (the §III-B limitation — fat bitcode
-// does not have it).
-func (r *Runtime) guestSendSelf(dst int, entry uint16, payloadPtr, payloadLen uint64) (uint64, error) {
+// execution completion. The frame form is frameForm's decision, exactly
+// as for host-initiated sends; for binary ifuncs a destination of a
+// different ISA is unreachable (the §III-B limitation — fat bitcode
+// does not have it). Every argument is guest-controlled, so each is
+// range-checked without overflow before it indexes anything.
+func (r *Runtime) guestSendSelf(dst, entry, payloadPtr, payloadLen uint64) (uint64, error) {
 	reg := r.current
 	if reg == nil {
 		return 0, fmt.Errorf("core: %s outside ifunc execution", SymSendSelf)
 	}
-	if dst < 0 || dst >= len(r.Cluster.Runtimes) {
+	if dst >= uint64(len(r.Cluster.Runtimes)) {
 		return 0, fmt.Errorf("core: %s: bad node %d", SymSendSelf, dst)
 	}
-	if int(entry) >= len(reg.EntryNames) {
+	if entry > 0xFFFF || entry >= uint64(len(reg.EntryNames)) {
 		return 0, fmt.Errorf("core: %s: bad entry %d", SymSendSelf, entry)
 	}
 	mem := r.Node.Mem()
-	if payloadPtr+payloadLen > uint64(len(mem)) || payloadLen > payloadArena {
+	if payloadLen > payloadArena || payloadPtr > uint64(len(mem)) || payloadLen > uint64(len(mem))-payloadPtr {
 		return 0, fmt.Errorf("core: %s: payload out of bounds", SymSendSelf)
 	}
+	payload := mem[payloadPtr : payloadPtr+payloadLen]
 	if r.currentAMID >= 0 {
 		// Active Message transport: the handler table is predeployed
 		// everywhere, so forwards never ship code — just the payload and
 		// the entry index in the AM header.
-		payload := append([]byte(nil), mem[payloadPtr:payloadPtr+payloadLen]...)
-		r.pendingAMs = append(r.pendingAMs, pendingAM{dst: dst, entry: entry, payload: payload})
+		r.pendingAMs = append(r.pendingAMs, pendingAM{
+			dst: int(dst), entry: uint16(entry), payload: append([]byte(nil), payload...),
+		})
 		return 0, nil
 	}
 	if reg.Kind == ifunc.KindBinary {
@@ -131,45 +134,13 @@ func (r *Runtime) guestSendSelf(dst int, entry uint16, payloadPtr, payloadLen ui
 		}
 	}
 	// The frame is encoded (and the payload snapshotted out of node
-	// memory) at send_self time, directly into a pooled buffer: the
-	// caching protocol decides the encoded form up front, so a cached
-	// forward never copies the code section at all.
-	payload := mem[payloadPtr : payloadPtr+payloadLen]
-	r.seq++
-	hdr := ifunc.Header{
-		Kind: reg.Kind, NameHash: reg.Hash, Entry: entry,
-		SrcNode: uint16(r.Node.ID), Seq: r.seq,
-	}
-	buf := r.getFrameBuf(dst)
-	var frame []byte
-	switch {
-	case r.Sent.Seen(dst, reg.Hash) && !r.DisableSendCache:
-		frame = ifunc.AppendTruncated(buf, hdr, payload)
-		r.Stats.TruncatedFrames++
-	default:
-		// Pairwise cold: the cluster-wide negotiation applies to forwards
-		// exactly as to host-initiated sends (reg.CodeHash is memoized at
-		// registration, so no hashing happens here).
-		verdict := casFull
-		if !r.DisableSendCache && reg.CodeHash != 0 {
-			verdict = r.negotiate(dst, reg.Hash, reg.CodeHash)
-		}
-		r.Sent.Mark(dst, reg.Hash)
-		switch verdict {
-		case casTruncate:
-			frame = ifunc.AppendTruncated(buf, hdr, payload)
-			r.Stats.TruncatedFrames++
-			r.Stats.CASTruncated++
-		case casHashRef:
-			frame = ifunc.AppendHashRef(buf, hdr, payload, reg.CodeHash, len(reg.CodeBytes))
-			r.Stats.HashRefFrames++
-		default:
-			frame = ifunc.AppendBuild(buf, hdr, payload, reg.CodeBytes)
-			r.Stats.FullFrames++
-			r.Stats.ColdCodeBytes += uint64(len(reg.CodeBytes))
-		}
-	}
-	r.pendingSends = append(r.pendingSends, pendingSend{dst: dst, frame: frame})
+	// memory) at send_self time, directly into a pooled buffer, so a
+	// cached forward never copies the code section at all. reg.CodeHash
+	// is memoized at registration: no hashing happens here.
+	hdr := ifunc.Header{Kind: reg.Kind, NameHash: reg.Hash, Entry: uint16(entry)}
+	d := r.frameForm(int(dst), reg.Hash, reg.CodeHash)
+	frame := r.encodeFrame(int(dst), hdr, payload, reg.CodeBytes, reg.CodeHash, d)
+	r.pendingSends = append(r.pendingSends, pendingSend{dst: int(dst), frame: frame})
 	return 0, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"threechains/internal/isa"
 	"threechains/internal/obs"
 	"threechains/internal/place"
 )
@@ -147,5 +148,54 @@ func TestOffloadRouteLatencyHistograms(t *testing.T) {
 	}
 	if shipCount != 1 {
 		t.Fatalf("ship latency count = %d, want 1", shipCount)
+	}
+}
+
+// TestTraceGuestForwardFrameInstants pins that guest forwards record
+// their frame form like host sends do: two tc.send_self forwards of one
+// type from the middle node of a three-node line land frame-full then
+// frame-trunc instants on the forwarding node's core track, each naming
+// the forward's destination.
+func TestTraceGuestForwardFrameInstants(t *testing.T) {
+	specs := []NodeSpec{{Name: "a", March: isa.XeonE5()}, {Name: "b", March: isa.XeonE5()}, {Name: "c", March: isa.XeonE5()}}
+	c := NewCluster(testParams(), specs)
+	for _, r := range c.Runtimes {
+		r.TargetPtr = r.Node.Alloc(8)
+	}
+	src := c.Runtime(0)
+	h, err := src.RegisterBitcode("prop", BuildPropagator(), allTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace(len(c.Runtimes))
+	c.AttachTrace(tr)
+	payload := make([]byte, 16)
+	payload[0] = 1 // TTL 1: node 1 forwards once to node 2
+	payload[8] = 1 // stride
+	for i := 0; i < 2; i++ {
+		if _, err := src.Send(1, h, "main", payload); err != nil {
+			t.Fatal(err)
+		}
+		c.Run()
+	}
+	if got := readU64(c.Runtime(2), c.Runtime(2).TargetPtr); got != 2 {
+		t.Fatalf("node 2 visits = %d, want 2", got)
+	}
+
+	var forwards []string
+	for _, line := range strings.Split(string(tr.Canonical()), "\n") {
+		if strings.HasPrefix(line, "n1 core inst frame-") {
+			forwards = append(forwards, line)
+		}
+	}
+	if len(forwards) != 2 ||
+		!strings.HasPrefix(forwards[0], "n1 core inst frame-full ") ||
+		!strings.HasPrefix(forwards[1], "n1 core inst frame-trunc ") {
+		t.Fatalf("forwarding node's frame instants = %q, want frame-full then frame-trunc", forwards)
+	}
+	for _, line := range forwards {
+		if !strings.HasSuffix(line, " dst=2") {
+			t.Errorf("forward instant %q does not name destination node 2", line)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func (r *Runtime) offloadRouted(dst int, h *Handle, fn string, payload []byte, o
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	req, model := r.buildRequest(dst, h, entry, payload, opts)
+	req, model, dec := r.buildRequest(dst, h, entry, payload, opts)
 	d, err := r.Planner.Plan(opts.Policy, model, req)
 	if err != nil {
 		return nil, nil, 0, err
@@ -92,12 +92,16 @@ func (r *Runtime) offloadRouted(dst int, h *Handle, fn string, payload []byte, o
 	var sig, execSig *sim.Signal
 	switch d.Route {
 	case place.RouteShipCode:
-		frame, err := r.buildFrame(dst, h, entry, payload)
+		code, ch, err := r.shipCode(dst, h, payload)
 		if err != nil {
 			return nil, nil, 0, err
 		}
+		// Encode the form the planner priced: no second negotiation.
+		hdr := ifunc.Header{Kind: h.Kind, NameHash: h.Hash, Entry: entry}
+		frame := r.encodeFrame(dst, hdr, payload, code, ch, dec)
 		r.Stats.IfuncsSent++
-		sig = r.ep(dst).SendIfuncPooled(frame, r.frameRelease(dst))
+		l := r.link(dst)
+		sig = l.ep.SendIfuncPooled(frame, l.release)
 		if track {
 			// Installed after the send but before any frame can execute
 			// (delivery is strictly later virtual time).
@@ -144,11 +148,12 @@ func snapshotPayload(p []byte) []byte {
 }
 
 // buildRequest digests one offload into the planner's pure inputs plus
-// the (local, dst) cost model. Everything read here is virtual-time
-// state — sent-cache and registry contents, calibrated costs, decayed
-// step estimates — so the resulting decision is deterministic across
-// runs and engines.
-func (r *Runtime) buildRequest(dst int, h *Handle, entry uint16, payload []byte, opts OffloadOpts) (place.Request, place.CostModel) {
+// the (local, dst) cost model, and returns the frame decision the ship
+// route encodes if the planner takes it. Everything read here is
+// virtual-time state — sent-cache and registry contents, calibrated
+// costs, decayed step estimates — so the resulting decision is
+// deterministic across runs and engines.
+func (r *Runtime) buildRequest(dst int, h *Handle, entry uint16, payload []byte, opts OffloadOpts) (place.Request, place.CostModel, frameDecision) {
 	rdst := r.Cluster.Runtimes[dst]
 	req := place.Request{
 		DstIsLocal: dst == r.Node.ID,
@@ -172,29 +177,14 @@ func (r *Runtime) buildRequest(dst int, h *Handle, entry uint16, payload []byte,
 		_, localRunnable = h.Objects[r.Node.March.Triple.Arch]
 	}
 
-	// Caching-protocol amortization: the frame a ship would transmit,
-	// mirroring buildFrame's negotiation exactly — pairwise hit, then the
-	// cluster-wide content-addressed verdict (type registered at dst →
-	// truncated; content pinned at dst → hash-ref), full otherwise. A
-	// planner that still priced full frames here would misroute every
-	// request the CAS would have served for 26 or 43 bytes.
+	// Caching-protocol amortization: the frame a ship would transmit, from
+	// the one frameForm decision the ship route then encodes. A planner
+	// that still priced full frames here would misroute every request the
+	// CAS would have served for 26 or 43 bytes.
 	arch := rdst.Node.March.Triple.Arch
 	req.TypeHash = h.Hash
-	if r.Sent.Contains(dst, h.Hash) && !r.DisableSendCache {
-		req.FrameBytes = ifunc.TruncatedLen(len(payload))
-	} else {
-		req.FrameBytes = ifunc.FullLen(len(payload), h.CodeSize(arch))
-		if !r.DisableSendCache {
-			if ch := h.ContentHash(arch); ch != 0 {
-				switch r.negotiate(dst, h.Hash, ch) {
-				case casTruncate:
-					req.FrameBytes = ifunc.TruncatedLen(len(payload))
-				case casHashRef:
-					req.FrameBytes = ifunc.HashRefLen(len(payload))
-				}
-			}
-		}
-	}
+	dec := r.frameForm(dst, h.Hash, h.ContentHash(arch))
+	req.FrameBytes = ifunc.FrameLen(dec.form, len(payload), h.CodeSize(arch))
 
 	// Registration amortization on both sides: registered types cost a
 	// lookup; unknown ones pay the JIT/load — unless the content is still
@@ -315,7 +305,7 @@ func (r *Runtime) buildRequest(dst int, h *Handle, entry uint16, payload []byte,
 		Local:  place.NodeTraits{March: r.Node.March, ExecMult: r.ExecCostMultiplier, IfuncPoll: r.Worker.IfuncPoll},
 		Remote: place.NodeTraits{March: rdst.Node.March, ExecMult: rdst.ExecCostMultiplier, IfuncPoll: rdst.Worker.IfuncPoll},
 	}
-	return req, model
+	return req, model, dec
 }
 
 // regCostOn estimates what registering h on node rt would charge: a
@@ -536,7 +526,7 @@ func (r *Runtime) offloadPull(dst int, h *Handle, entry uint16, payload []byte, 
 	if track {
 		execSig = r.eng().NewSignal()
 	}
-	ep := r.ep(dst)
+	ep := r.link(dst).ep
 	key := r.heapKeys[dst]
 	size := opts.DataSize
 	r.Stats.PullGetFullBytes += size

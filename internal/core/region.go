@@ -28,7 +28,7 @@ package core
 // bit-identical cache-on vs cache-off (pinned by differential tests);
 // only wire bytes and virtual time may move. The version peek itself is
 // a zero-cost virtual-time read gated exactly like the CAS negotiation
-// (casPeer: same shard partition only, off under DisableCAS), so sharded
+// (casPeer: same shard partition only, off below CacheCAS), so sharded
 // runs degrade to whole-region pulls for cross-partition destinations
 // and stay bit-identical at every shard count.
 
@@ -65,11 +65,11 @@ type regionEntry struct {
 }
 
 // regionPeer returns the owner runtime when the region negotiation may
-// read its clock and memory: the casPeer gate (same shard partition,
-// CAS enabled) plus the region cache's own kill switch. Pulls from an
-// ineligible peer run the pre-cache whole-region route.
+// read its clock and memory: the casPeer gate (same shard partition) at
+// CacheRegions, for a remote owner. Pulls from an ineligible peer run
+// the pre-cache whole-region route.
 func (r *Runtime) regionPeer(dst int) *Runtime {
-	if r.DisableRegionCache || dst == r.Node.ID {
+	if r.Cache < CacheRegions || dst == r.Node.ID {
 		return nil
 	}
 	return r.casPeer(dst)

@@ -216,8 +216,10 @@ func regionCacheScript(t *testing.T, engine string, disableCache bool) uint64 {
 		{Name: "dpu1", March: isa.XeonE5(), Engine: engine},
 	}
 	c := NewCluster(testParams(), specs)
-	for _, rt := range c.Runtimes {
-		rt.DisableRegionCache = disableCache
+	if disableCache {
+		for _, rt := range c.Runtimes {
+			rt.Cache = CacheCAS
+		}
 	}
 	src := c.Runtime(0)
 	sizes := []uint64{1024, 8}
@@ -292,76 +294,141 @@ func TestRegionCacheOnOffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShipFramePricedBytesMatchWire is the satellite-1 regression: for
-// every negotiated frame form — full, 26-byte truncated, 43-byte
-// hash-ref — the planner's Request.FrameBytes equals the byte count the
-// ship route actually transmits (buildFrame's output), so ship pricing
-// can never drift from the wire.
+// TestShipFramePricedBytesMatchWire pins that priced bytes are wire
+// bytes: at every cache level and for every negotiated frame form —
+// full, pairwise-truncated, CAS-truncated, 43-byte hash-ref — the
+// planner's Request.FrameBytes for (sender, dst, type) equals the bytes
+// the sender then puts on the wire, whether the frame leaves as a host
+// Send, as an offload forced down the ship route, or as a guest
+// send_self forward; and the form is the one the level allows.
 func TestShipFramePricedBytesMatchWire(t *testing.T) {
-	// Four nodes: building a frame marks the sender's pairwise cache
-	// (exactly like a real send), so each negotiated form gets its own
-	// sender runtime and the probes never contaminate each other.
-	specs := make([]NodeSpec, 4)
-	for i, n := range []string{"a", "b", "f", "dst"} {
-		specs[i] = NodeSpec{Name: n, March: isa.XeonE5()}
+	const host, sender, helper, dst = 0, 1, 2, 3
+	// The propagator forwards itself to (self+stride) mod 4 while its TTL
+	// is positive: a TTL-0 payload just executes; a TTL-1 payload sent to
+	// the sender makes it forward a TTL-0 frame to dst.
+	payload := func(ttl uint64) []byte {
+		p := make([]byte, 16)
+		binary.LittleEndian.PutUint64(p, ttl)
+		binary.LittleEndian.PutUint64(p[8:], dst-sender)
+		return p
 	}
-	c := NewCluster(testParams(), specs)
-	a, b, f, dst := c.Runtime(0), c.Runtime(1), c.Runtime(2), c.Runtime(3)
-	dst.TargetPtr = dst.Node.Alloc(8)
-	ha, err := a.RegisterBitcode("m", BuildTSI(), allTriples)
-	if err != nil {
-		t.Fatal(err)
+	scenarios := []struct {
+		name string
+		// setup establishes the state the probe negotiates against.
+		setup func(c *Cluster, hs []*Handle) error
+		want  func(CacheLevel) ifunc.FrameForm
+	}{
+		{"full", func(*Cluster, []*Handle) error { return nil },
+			func(CacheLevel) ifunc.FrameForm { return ifunc.FormFull }},
+		{"pairwise-truncated", func(c *Cluster, hs []*Handle) error {
+			// The sender's own earlier delivery marks its pairwise cache
+			// (guest forwards read the same cache).
+			_, err := c.Runtime(sender).Send(dst, hs[sender], "main", payload(0))
+			return err
+		}, func(l CacheLevel) ifunc.FrameForm {
+			if l < CachePairwise {
+				return ifunc.FormFull
+			}
+			return ifunc.FormTruncated
+		}},
+		{"cas-truncated", func(c *Cluster, hs []*Handle) error {
+			// A third party installed the type at dst.
+			_, err := c.Runtime(helper).Send(dst, hs[helper], "main", payload(0))
+			return err
+		}, func(l CacheLevel) ifunc.FrameForm {
+			if l < CacheCAS {
+				return ifunc.FormFull
+			}
+			return ifunc.FormTruncated
+		}},
+		{"hash-ref", func(c *Cluster, _ []*Handle) error {
+			// dst pins the same content under its own type name only.
+			_, err := c.Runtime(dst).RegisterBitcode("prop2", BuildPropagator(), allTriples)
+			return err
+		}, func(l CacheLevel) ifunc.FrameForm {
+			if l < CacheCAS {
+				return ifunc.FormFull
+			}
+			return ifunc.FormHashRef
+		}},
 	}
-	hb, err := b.RegisterBitcode("m", BuildTSI(), allTriples)
-	if err != nil {
-		t.Fatal(err)
+	paths := []struct {
+		name string
+		// emit makes the sender put exactly one frame of the type to dst
+		// on the wire.
+		emit func(c *Cluster, hs []*Handle) error
+	}{
+		{"send", func(c *Cluster, hs []*Handle) error {
+			_, err := c.Runtime(sender).Send(dst, hs[sender], "main", payload(0))
+			return err
+		}},
+		{"offload-ship", func(c *Cluster, hs []*Handle) error {
+			_, _, route, err := c.Runtime(sender).offloadRouted(dst, hs[sender], "main", payload(0),
+				OffloadOpts{Policy: place.PolicyShipCode}, false)
+			if err == nil && route != place.RouteShipCode {
+				err = fmt.Errorf("routed %v, want ship", route)
+			}
+			return err
+		}},
+		{"guest-forward", func(c *Cluster, hs []*Handle) error {
+			_, err := c.Runtime(host).Send(sender, hs[host], "main", payload(1))
+			return err
+		}},
 	}
-	hf, err := f.RegisterBitcode("m", BuildTSI(), allTriples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte{0}
-	check := func(label string, r *Runtime, h *Handle, wantLen int) {
-		t.Helper()
-		entry, err := h.EntryIndex("main")
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, _ := r.buildRequest(3, h, entry, payload, OffloadOpts{})
-		frame, err := r.buildFrame(3, h, entry, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(frame) != wantLen {
-			t.Fatalf("%s: frame is %d bytes, scenario wants %d", label, len(frame), wantLen)
-		}
-		if req.FrameBytes != len(frame) {
-			t.Fatalf("%s: planner priced %d frame bytes, wire carries %d",
-				label, req.FrameBytes, len(frame))
-		}
-	}
+	for _, level := range []CacheLevel{CacheNone, CachePairwise, CacheCAS, CacheRegions} {
+		for _, sc := range scenarios {
+			for _, path := range paths {
+				label := fmt.Sprintf("level %d/%s/%s", level, sc.name, path.name)
+				specs := make([]NodeSpec, 4)
+				for i := range specs {
+					specs[i] = NodeSpec{Name: fmt.Sprintf("n%d", i), March: isa.XeonE5()}
+				}
+				c := NewCluster(testParams(), specs)
+				hs := make([]*Handle, len(c.Runtimes))
+				for i, rt := range c.Runtimes {
+					rt.Cache = level
+					rt.TargetPtr = rt.Node.Alloc(8)
+					if i == dst {
+						continue
+					}
+					h, err := rt.RegisterBitcode("prop", BuildPropagator(), allTriples)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hs[i] = h
+				}
+				if err := sc.setup(c, hs); err != nil {
+					t.Fatalf("%s: setup: %v", label, err)
+				}
+				c.Run()
 
-	// Cold: nothing at dst — full frame, priced as full.
-	check("full", f, hf, ifunc.FullLen(len(payload), hf.CodeSize(dst.Node.March.Triple.Arch)))
-
-	// A's real send installs the type at dst: A reprices as truncated.
-	if _, err := a.Send(3, ha, "main", payload); err != nil {
-		t.Fatal(err)
+				src, h := c.Runtime(sender), hs[sender]
+				entry, err := h.EntryIndex("main")
+				if err != nil {
+					t.Fatal(err)
+				}
+				req, _, _ := src.buildRequest(dst, h, entry, payload(0), OffloadOpts{})
+				before, execBefore := src.Node.Stats.BytesSent, c.Runtime(dst).Stats.Executions
+				if err := path.emit(c, hs); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				c.Run()
+				wire := int(src.Node.Stats.BytesSent - before)
+				want := ifunc.FrameLen(sc.want(level), len(payload(0)), h.CodeSize(isa.XeonE5().Triple.Arch))
+				if wire != want {
+					t.Errorf("%s: wire carried %d bytes, the level's form is %d", label, wire, want)
+				}
+				if req.FrameBytes != wire {
+					t.Errorf("%s: planner priced %d frame bytes, wire carried %d", label, req.FrameBytes, wire)
+				}
+				if got := c.Runtime(dst).Stats.Executions - execBefore; got != 1 {
+					t.Errorf("%s: %d executions of the probed frame at dst, want 1 (drops %d)",
+						label, got, c.Runtime(dst).Stats.DroppedFrames)
+				}
+				c.Close()
+			}
+		}
 	}
-	c.Run()
-	check("truncated", a, ha, ifunc.TruncatedLen(len(payload)))
-
-	// Hash-ref: dst pins the same content under its own type name, but
-	// the type itself is deregistered there (A's registration revoked),
-	// so B's cold negotiation sees content-only residency — the 43-byte
-	// form.
-	if _, err := dst.RegisterBitcode("m2", BuildTSI(), allTriples); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.DeregisterLocal(ha.Hash) {
-		t.Fatal("deregister at dst failed")
-	}
-	check("hash-ref", b, hb, ifunc.HashRefLen(len(payload)))
 }
 
 // TestStoreBudgetSharedLRUMixesKinds is the satellite-3 pin: code blobs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"threechains/internal/ifunc"
@@ -80,12 +81,12 @@ func TestDeregisterLocalDropsTruncatedFrames(t *testing.T) {
 	}
 }
 
-func TestDisableSendCacheShipsFullFrames(t *testing.T) {
+func TestCacheNoneShipsFullFrames(t *testing.T) {
 	c := twoNodes()
 	src, dst := c.Runtime(0), c.Runtime(1)
 	dst.TargetPtr = dst.Node.Alloc(8)
 	h, _ := src.RegisterBitcode("tsi", BuildTSI(), allTriples)
-	src.DisableSendCache = true
+	src.Cache = CacheNone
 	for i := 0; i < 3; i++ {
 		src.Send(1, h, "main", []byte{0})
 		c.Run()
@@ -180,6 +181,62 @@ func TestGuestSendSelfValidation(t *testing.T) {
 	c.Run()
 	if dst.Stats.ExecErrors != 1 {
 		t.Fatalf("bad forward not rejected: %+v", dst.Stats)
+	}
+}
+
+// TestGuestSendSelfBounds feeds tc.send_self the guest-controlled
+// arguments that defeat naive bounds arithmetic: a payload pointer near
+// 2^64 whose ptr+len wraps below the heap size, and an entry index above
+// the frame's 16-bit field (which used to truncate silently to entry 0).
+// Each must fail the execution as a guest error — never panic the host,
+// never forward — on both the ifunc and the Active Message transport.
+func TestGuestSendSelfBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		entry, ptr, len int64
+	}{
+		{"pointer 2^64-1 wraps", 0, -1, 2},
+		{"pointer 2^64-8 wraps", 0, -8, 16},
+		{"entry 65536", 1 << 16, 0, 8},
+	} {
+		// Entry 0 is an inert sink, so a forward that slips through (entry
+		// 65536 read as 0) terminates instead of looping.
+		m := ir.NewModule("probe")
+		b := ir.NewBuilder(m)
+		b.AddDep(LibTC)
+		b.DeclareExtern(SymSendSelf)
+		b.NewFunc("sink", []ir.Type{ir.Ptr, ir.I64, ir.Ptr}, ir.I64)
+		b.Ret(b.Const64(0))
+		b.NewFunc("main", []ir.Type{ir.Ptr, ir.I64, ir.Ptr}, ir.I64)
+		b.Call(SymSendSelf, true, b.Const64(0), b.Const64(tc.entry), b.Const64(tc.ptr), b.Const64(tc.len))
+		b.Ret(b.Const64(0))
+
+		for _, am := range []bool{false, true} {
+			c := twoNodes()
+			src, dst := c.Runtime(0), c.Runtime(1)
+			if am {
+				if err := dst.PredeployAM(9, "probe", m); err != nil {
+					t.Fatal(err)
+				}
+				src.Worker.Connect(dst.Worker).SendAM(9, 1, []byte{0}) // entry 1: main
+			} else {
+				h, err := src.RegisterBitcode("probe", m, allTriples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := src.Send(1, h, "main", []byte{0}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Run()
+			if dst.Stats.ExecErrors != 1 || dst.Stats.GuestSends != 0 {
+				t.Errorf("%s (am=%v): send_self not rejected: %+v", tc.name, am, dst.Stats)
+			}
+			if dst.LastExecErr == nil || !strings.Contains(dst.LastExecErr.Error(), SymSendSelf) {
+				t.Errorf("%s (am=%v): exec error %v, want a %s rejection", tc.name, am, dst.LastExecErr, SymSendSelf)
+			}
+			c.Close()
+		}
 	}
 }
 

@@ -62,13 +62,13 @@ func TestSendBuildAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.frameRelease(1)(frame)
+		src.link(1).release(frame)
 	}
 	if allocs := testing.AllocsPerRun(200, build); allocs > 0 {
 		t.Errorf("cached buildFrame allocates %.2f objects/op, want 0", allocs)
 	}
 
-	src.DisableSendCache = true
+	src.Cache = CacheNone
 	if allocs := testing.AllocsPerRun(200, build); allocs > 0 {
 		t.Errorf("uncached buildFrame allocates %.2f objects/op, want 0", allocs)
 	}
@@ -104,7 +104,9 @@ func TestDecodeGroupAllocFree(t *testing.T) {
 func TestPooledFrameBurstIntegrity(t *testing.T) {
 	for _, uncached := range []bool{false, true} {
 		c, src, dst, h, counter := warmSendWorld(t)
-		src.DisableSendCache = uncached
+		if uncached {
+			src.Cache = CacheNone
+		}
 		const n = 48
 		want := readU64(dst, counter)
 		for i := 1; i <= n; i++ {
@@ -123,7 +125,7 @@ func TestPooledFrameBurstIntegrity(t *testing.T) {
 			t.Fatalf("uncached=%v: sum = %d, want %d (frame buffer corrupted in flight?)",
 				uncached, got, want)
 		}
-		if len(src.framePool[1]) == 0 {
+		if len(src.links[1].pool) == 0 {
 			t.Errorf("uncached=%v: no frame buffers returned to the pool", uncached)
 		}
 	}
@@ -200,7 +202,7 @@ func BenchmarkSendFrameFastPath(b *testing.B) {
 	}
 	c.Run()
 	payload := make([]byte, 8)
-	rel := src.frameRelease(1)
+	rel := src.link(1).release
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,15 +295,15 @@ func TestNegotiatedBuildAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1)
-	rel := src.frameRelease(2)
+	rel := src.link(2).release
 	buildHashRef := func() {
 		src.Sent.Forget(h.Hash)
 		frame, err := src.buildFrame(2, h, 0, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(frame) != ifunc.HashRefLen(len(payload)) {
-			t.Fatalf("frame = %d bytes, want hash-ref %d", len(frame), ifunc.HashRefLen(len(payload)))
+		if want := ifunc.FrameLen(ifunc.FormHashRef, len(payload), 0); len(frame) != want {
+			t.Fatalf("frame = %d bytes, want hash-ref %d", len(frame), want)
 		}
 		rel(frame)
 	}

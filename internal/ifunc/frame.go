@@ -10,11 +10,9 @@
 //	hash-ref:  HEADER | PAYLOAD | MAGIC1 | 0xFFFFFFFF | CODEHASH | CODELEN | MAGIC2
 //
 // The header is 24 bytes; a truncated (cached) frame with the TSI
-// benchmark's 1-byte payload is exactly 26 bytes, matching §V-A. The
-// sender always *builds* the full frame and truncates at transmission
-// time by sending fewer bytes — the frame itself is never modified, so it
-// can later be forwarded whole to a third process that has not seen the
-// code yet.
+// benchmark's 1-byte payload is exactly 26 bytes, matching §V-A: the
+// leading TruncatedLen bytes of the full frame. The sender encodes only
+// the form it transmits (AppendFrame), priced by FrameLen.
 //
 // The hash-ref form is this reproduction's cluster-wide extension of the
 // paper's pairwise protocol: when the destination's content-addressed
@@ -111,22 +109,62 @@ func NameHash(name string) uint64 {
 	return h.Sum64()
 }
 
-// Build constructs the full frame bytes. Senders keep this buffer and
-// transmit either all of it or just the truncated prefix (TruncatedLen).
-func Build(h Header, payload, code []byte) []byte {
-	return AppendBuild(nil, h, payload, code)
+// FrameForm is the encoded shape of one ifunc frame: the caching
+// protocol picks exactly one per send (Figure 4 plus the hash-ref
+// extension), and FrameLen/AppendFrame are its pricing and encoding.
+type FrameForm uint8
+
+const (
+	// FormFull carries the code section.
+	FormFull FrameForm = iota
+	// FormTruncated elides it: the target already has the type.
+	FormTruncated
+	// FormHashRef replaces it by its content hash: the target's store
+	// holds the bytes (pinned) under some other type.
+	FormHashRef
+)
+
+// FrameLen returns the wire length of a frame of the given form:
+// header + payload + MAGIC1, then for a full frame CODELEN + CODE +
+// MAGIC2 and for a hash-ref frame sentinel (4) + content hash (8) + code
+// length (4) + MAGIC2. codeLen only matters for the full form.
+func FrameLen(form FrameForm, payloadLen, codeLen int) int {
+	n := HeaderLen + payloadLen + 1
+	switch form {
+	case FormFull:
+		n += 4 + codeLen + 1
+	case FormHashRef:
+		n += 17
+	}
+	return n
 }
 
-// AppendBuild appends the full frame encoding to dst and returns the
-// extended slice — the allocation-free form of Build for senders that
-// recycle frame buffers (pass dst with spare capacity, typically
-// buf[:0] of a pooled buffer).
-func AppendBuild(dst []byte, h Header, payload, code []byte) []byte {
-	dst = appendTruncated(dst, h, payload)
+// TruncatedLen returns how many bytes of a full frame the sender
+// transmits when the target already has the code: header + payload +
+// MAGIC1.
+func TruncatedLen(payloadLen int) int { return FrameLen(FormTruncated, payloadLen, 0) }
+
+// AppendFrame appends the encoding of form to dst and returns the
+// extended slice: len(result)-len(dst) is always FrameLen(form,
+// len(payload), len(code)). code is the section a full frame carries;
+// codeHash is the content key a hash-ref frame carries instead.
+func AppendFrame(dst []byte, form FrameForm, h Header, payload, code []byte, codeHash uint64) []byte {
+	switch form {
+	case FormTruncated:
+		return AppendTruncated(dst, h, payload)
+	case FormHashRef:
+		return AppendHashRef(dst, h, payload, codeHash, len(code))
+	}
+	dst = AppendTruncated(dst, h, payload)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(code)))
 	dst = append(dst, code...)
-	dst = append(dst, Magic2)
-	return dst
+	return append(dst, Magic2)
+}
+
+// Build constructs the full frame bytes. Its leading TruncatedLen bytes
+// are the truncated frame.
+func Build(h Header, payload, code []byte) []byte {
+	return AppendFrame(nil, FormFull, h, payload, code, 0)
 }
 
 // AppendTruncated appends the truncated (cache-hit) frame encoding —
@@ -135,10 +173,6 @@ func AppendBuild(dst []byte, h Header, payload, code []byte) []byte {
 // section entirely: the transmitted bytes are identical to the leading
 // TruncatedLen bytes of the full frame.
 func AppendTruncated(dst []byte, h Header, payload []byte) []byte {
-	return appendTruncated(dst, h, payload)
-}
-
-func appendTruncated(dst []byte, h Header, payload []byte) []byte {
 	h.PayloadLen = uint32(len(payload))
 	dst = append(dst, Magic0, byte(h.Kind), h.Version, 0)
 	dst = binary.LittleEndian.AppendUint64(dst, h.NameHash)
@@ -157,27 +191,12 @@ func appendTruncated(dst []byte, h Header, payload []byte) []byte {
 // the destination's content-addressed store holds the code (pinned) but
 // the ifunc type itself is not registered there.
 func AppendHashRef(dst []byte, h Header, payload []byte, codeHash uint64, codeLen int) []byte {
-	dst = appendTruncated(dst, h, payload)
+	dst = AppendTruncated(dst, h, payload)
 	dst = binary.LittleEndian.AppendUint32(dst, HashRefSentinel)
 	dst = binary.LittleEndian.AppendUint64(dst, codeHash)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(codeLen))
 	dst = append(dst, Magic2)
 	return dst
-}
-
-// TruncatedLen returns how many bytes of a full frame the sender
-// transmits when the target already has the code: header + payload +
-// MAGIC1.
-func TruncatedLen(payloadLen int) int { return HeaderLen + payloadLen + 1 }
-
-// HashRefLen returns the hash-ref frame length for a given payload size:
-// the truncated prefix plus sentinel (4) + content hash (8) + code
-// length (4) + MAGIC2.
-func HashRefLen(payloadLen int) int { return TruncatedLen(payloadLen) + 17 }
-
-// FullLen returns the full frame length for given payload and code sizes.
-func FullLen(payloadLen, codeLen int) int {
-	return HeaderLen + payloadLen + 1 + 4 + codeLen + 1
 }
 
 // Parse decodes a frame (full or truncated). The returned frame aliases

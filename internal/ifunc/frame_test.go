@@ -20,8 +20,8 @@ func TestBuildParseFullFrame(t *testing.T) {
 	payload := []byte{1, 2, 3}
 	code := []byte("fat bitcode archive bytes")
 	frame := Build(h, payload, code)
-	if len(frame) != FullLen(len(payload), len(code)) {
-		t.Fatalf("frame = %d bytes, want %d", len(frame), FullLen(len(payload), len(code)))
+	if want := FrameLen(FormFull, len(payload), len(code)); len(frame) != want {
+		t.Fatalf("frame = %d bytes, want %d", len(frame), want)
 	}
 	f, err := Parse(frame)
 	if err != nil {
@@ -174,29 +174,56 @@ func TestRegistry(t *testing.T) {
 
 func TestSentCache(t *testing.T) {
 	c := NewSentCache()
-	if c.Seen(1, 100) {
+	if c.Contains(1, 100) {
 		t.Fatal("fresh cache reports seen")
 	}
 	c.Mark(1, 100)
-	if !c.Seen(1, 100) {
+	if !c.Contains(1, 100) {
 		t.Fatal("marked entry not seen")
 	}
 	// Different endpoint, same type: unseen (per-endpoint tracking).
-	if c.Seen(2, 100) {
+	if c.Contains(2, 100) {
 		t.Fatal("endpoint 2 inherited endpoint 1's cache entry")
 	}
 	// Different type, same endpoint: unseen.
-	if c.Seen(1, 200) {
+	if c.Contains(1, 200) {
 		t.Fatal("type 200 inherited type 100's entry")
-	}
-	if c.Hits != 1 || c.Misses != 3 {
-		t.Fatalf("stats: %d hits, %d misses", c.Hits, c.Misses)
 	}
 	// Forget invalidates everywhere.
 	c.Mark(2, 100)
 	c.Forget(100)
-	if c.Seen(1, 100) || c.Seen(2, 100) {
+	if c.Contains(1, 100) || c.Contains(2, 100) {
 		t.Fatal("forget did not invalidate")
+	}
+}
+
+// TestAppendFrameMatchesFrameLen pins the pricing rule to the encoder:
+// for every form, AppendFrame emits exactly FrameLen bytes (appending to
+// a non-empty buffer), and the result parses back as that form.
+func TestAppendFrameMatchesFrameLen(t *testing.T) {
+	h := Header{Kind: KindBitcode, NameHash: NameHash("tsi"), Entry: 1, SrcNode: 2, Seq: 3}
+	code := []byte("fat bitcode archive bytes")
+	ch := ContentHash(code)
+	for _, payloadLen := range []int{0, 1, 8, 300} {
+		payload := make([]byte, payloadLen)
+		for _, form := range []FrameForm{FormFull, FormTruncated, FormHashRef} {
+			prefix := []byte{0xEE, 0xEE}
+			frame := AppendFrame(prefix, form, h, payload, code, ch)[len(prefix):]
+			if want := FrameLen(form, payloadLen, len(code)); len(frame) != want {
+				t.Fatalf("form %d/%d: encoded %d bytes, FrameLen %d", form, payloadLen, len(frame), want)
+			}
+			f, err := Parse(frame)
+			if err != nil {
+				t.Fatalf("form %d/%d: %v", form, payloadLen, err)
+			}
+			if (f.Code != nil) != (form == FormFull) || f.HashRef != (form == FormHashRef) ||
+				(f.HashRef && f.CodeHash != ch) {
+				t.Fatalf("form %d/%d: parsed %+v", form, payloadLen, f)
+			}
+		}
+	}
+	if FrameLen(FormTruncated, 1, 0) != 26 || FrameLen(FormHashRef, 1, 0) != 43 {
+		t.Fatal("paper frame sizes drifted: truncated must be 26 B, hash-ref 43 B at a 1-byte payload")
 	}
 }
 
@@ -207,12 +234,12 @@ func TestHashRefFrameRoundTrip(t *testing.T) {
 	code := []byte("fat bitcode archive bytes")
 	ch := ContentHash(code)
 	frame := AppendHashRef(nil, h, payload, ch, len(code))
-	if len(frame) != HashRefLen(len(payload)) {
-		t.Fatalf("frame = %d bytes, want %d", len(frame), HashRefLen(len(payload)))
+	if want := FrameLen(FormHashRef, len(payload), len(code)); len(frame) != want {
+		t.Fatalf("frame = %d bytes, want %d", len(frame), want)
 	}
 	// The hash-ref form costs 17 bytes over the 26-byte cached frame —
 	// still independent of code size.
-	if got := HashRefLen(1); got != 43 {
+	if got := FrameLen(FormHashRef, 1, len(code)); got != 43 {
 		t.Fatalf("hash-ref frame = %d bytes, want 43", got)
 	}
 	f, err := Parse(frame)

@@ -194,8 +194,6 @@ func (rg *Registry) Len() int { return len(rg.byHash) }
 // truncated transmission.
 type SentCache struct {
 	m map[sentKey]bool
-	// Hits and Misses count cache decisions for reports.
-	Hits, Misses uint64
 }
 
 type sentKey struct {
@@ -208,20 +206,7 @@ func NewSentCache() *SentCache {
 	return &SentCache{m: make(map[sentKey]bool)}
 }
 
-// Seen reports whether dst has already received code for hash, counting
-// the lookup in the hit/miss stats.
-func (c *SentCache) Seen(dstNode int, hash uint64) bool {
-	if c.m[sentKey{dstNode, hash}] {
-		c.Hits++
-		return true
-	}
-	c.Misses++
-	return false
-}
-
-// Contains reports whether dst has the code for hash without counting a
-// cache decision — the peek the placement planner uses to predict the
-// frame size a ship would transmit (only real sends count in Hits/Misses).
+// Contains reports whether dst already has the code for hash.
 func (c *SentCache) Contains(dstNode int, hash uint64) bool {
 	return c.m[sentKey{dstNode, hash}]
 }

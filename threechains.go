@@ -226,6 +226,20 @@ const (
 	PolicyCostModelQueue = place.PolicyCostModelQueue
 )
 
+// CacheLevel orders how much of the caching protocol a runtime uses
+// (Runtime.Cache): full frames only, the paper's pairwise sent-cache,
+// plus the cluster-wide content-addressed negotiation, plus the
+// data-region cache. The zero value, CacheRegions, is every layer on.
+type CacheLevel = core.CacheLevel
+
+// Cache levels, in increasing order.
+const (
+	CacheNone     = core.CacheNone
+	CachePairwise = core.CachePairwise
+	CacheCAS      = core.CacheCAS
+	CacheRegions  = core.CacheRegions
+)
+
 // Placement types: offload options, the planner's policy/decision
 // vocabulary, and the seeded workload scenario generator.
 type (
